@@ -13,7 +13,7 @@ echo "== zero-dependency policy =="
 # section; each entry must carry `path =` or `workspace = true` (the
 # workspace table itself is path-only, checked below).
 bad=0
-for manifest in Cargo.toml crates/*/Cargo.toml; do
+for manifest in Cargo.toml crates/*/Cargo.toml perfbench/Cargo.toml; do
     deps=$(awk '
         /^\[(workspace\.)?(dependencies|dev-dependencies|build-dependencies)\]/ { on=1; next }
         /^\[/ { on=0 }
@@ -41,6 +41,13 @@ TIMEDRL_THREADS=1 cargo test --offline -q
 
 echo "== tests (TIMEDRL_THREADS=4) =="
 TIMEDRL_THREADS=4 cargo test --offline -q
+
+echo "== benchmark package: build + tests =="
+# perfbench is a package of its own (not a workspace member), so the
+# workspace build above never compiles it; it pins public trainer APIs
+# (run_shard_worker_with, ShardTrainPlan, gather_rows, the pretext losses).
+# Its build output goes under target/, never under perfbench/.
+CARGO_TARGET_DIR=target/perfbench cargo test --offline -q --manifest-path perfbench/Cargo.toml
 
 echo "== determinism probe: checkpoint byte-equality across thread counts =="
 # A tiny data-parallel pretrain must serialize identically no matter how
@@ -80,8 +87,8 @@ echo "== allocation budget: steady-state training step =="
 # code performed 8944 heap allocations per step; the transpose-aware
 # backward (DESIGN.md §12) brought the steady state down to 416, fused
 # attention (DESIGN.md §17) to 376, and the budget below is that
-# measurement plus ~10% headroom. Measured at TIMEDRL_THREADS=1 so
-# pool-worker allocations cannot pollute the process-global counter.
+# measurement plus ~10% headroom. Measured at TIMEDRL_THREADS=1 so the
+# count does not depend on how many pool workers the host spawns.
 ALLOC_BUDGET=415
 cargo build --release --offline -p timedrl-bench --bin step_alloc_probe
 alloc_line=$(TIMEDRL_THREADS=1 ./target/release/step_alloc_probe)
@@ -114,7 +121,7 @@ echo "== serving gate: compiled inference parity + zero allocs/request =="
 # verify (a) the compiled forward is byte-identical to the tape-path
 # golden outputs, (b) every server response carries those same bytes, and
 # (c) a warmed request performs zero heap allocations. TIMEDRL_THREADS=1
-# because the allocation counter is process-global.
+# so the count does not depend on how many pool workers the host spawns.
 cargo build --release --offline -p timedrl-serve --bin embed_server --bin serve_probe
 serve_dir="$probe_dir/serve"
 TIMEDRL_THREADS=1 ./target/release/serve_probe prepare "$serve_dir"
@@ -168,7 +175,7 @@ echo "== streaming gate: tick-by-tick equivalence + zero allocs/tick =="
 # must prove the incremental path matches the batch path — bitwise on
 # exact-stats hops, within ε between — at multiple thread counts, and a
 # warmed steady-state tick must perform zero heap allocations (measured
-# at TIMEDRL_THREADS=1 because the allocation counter is process-global).
+# at TIMEDRL_THREADS=1, so no pool-worker spawns are counted).
 for threads in 1 4; do
     echo "-- equivalence suite (TIMEDRL_THREADS=$threads) --"
     TIMEDRL_THREADS=$threads cargo test --offline -q -p timedrl-stream --test equivalence

@@ -10,8 +10,8 @@
 //! perform zero heap allocations, same as exact.
 //!
 //! Prints machine-parseable `key=value` lines and exits nonzero on any
-//! violated budget. Run with `TIMEDRL_THREADS=1`: the allocation counter
-//! is process-global.
+//! violated budget. Run with `TIMEDRL_THREADS=1`, so the allocation count
+//! does not depend on how many pool workers the host spawns.
 
 use std::process::ExitCode;
 use testkit::alloc::count_allocations;

@@ -1,8 +1,8 @@
 //! Allocation-regression probe for CI: prints the steady-state heap
 //! allocation count of one whole-batch pre-training step.
 //!
-//! `ci.sh` runs this with `TIMEDRL_THREADS=1` (so no pool-worker
-//! allocations pollute the process-global counter) and fails if the
+//! `ci.sh` runs this with `TIMEDRL_THREADS=1` (so the count does not
+//! depend on how many pool workers the host spawns) and fails if the
 //! number exceeds the committed budget. The seed code allocated on the
 //! order of tens of thousands of blocks per step; with the tensor buffer
 //! pool the steady state must stay near-allocation-free (DESIGN.md §10).

@@ -6,13 +6,13 @@
 //! gate) drive the same `StepHarness`, so the number CI gates on is the
 //! number the bench reports.
 
-use timedrl::{gather_rows, pretext_loss, TimeDrl, TimeDrlConfig};
-use timedrl_nn::{clip_grad_norm, AdamW, Ctx, Module, Optimizer};
+use timedrl::{gather_rows, pretext_loss, train_step, TimeDrl, TimeDrlConfig};
+use timedrl_nn::{AdamW, Ctx, Module, Optimizer};
 use timedrl_tensor::{NdArray, Prng, Var};
 
-/// A live whole-batch training step, mirroring the `micro_batch: None`
-/// path of `timedrl::trainer::pretrain_impl` exactly: zero_grad →
-/// `pretext_loss` → backward → `clip_grad_norm(5.0)` → AdamW step.
+/// A live whole-batch training step: [`timedrl::train_step`], the step
+/// `timedrl::pretrain` runs when `micro_batch` is `None` (zero_grad →
+/// `pretext_loss` → NaN guard → backward → `clip_grad_norm(5.0)` → AdamW).
 pub struct StepHarness {
     model: TimeDrl,
     opt: AdamW,
@@ -49,14 +49,14 @@ impl StepHarness {
     }
 
     /// Runs one optimizer step and returns the joint pretext loss.
+    ///
+    /// # Panics
+    /// If the step is aborted (non-finite loss or failed backward), which
+    /// the fixed sinusoid batch never causes.
     pub fn step(&mut self) -> f32 {
-        self.opt.zero_grad();
-        let (loss, breakdown) =
-            pretext_loss(&self.model, &self.batch, &mut self.ctx, &mut self.aug_rng);
-        loss.backward();
-        clip_grad_norm(self.opt.parameters(), 5.0);
-        self.opt.step();
-        breakdown.total
+        train_step(&self.model, &mut self.opt, &self.batch, &mut self.ctx, &mut self.aug_rng)
+            .expect("training step aborted")
+            .total
     }
 
     /// Runs the forward pass alone — builds the full pretext-loss graph

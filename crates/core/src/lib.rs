@@ -66,4 +66,6 @@ pub use model::{channel_independent, ContrastHead, Encoded, TimeDrl};
 pub use pooling::Pooling;
 pub use pretext::{contrastive_loss, predictive_loss, pretext_loss, PretextBreakdown};
 pub use shard::{run_shard_worker, run_shard_worker_with, ShardTrainPlan};
-pub use trainer::{gather_rows, pretrain, pretrain_with_validation, PretrainReport};
+pub use trainer::{
+    gather_rows, pretrain, pretrain_with_validation, train_step, PretrainReport, StepError,
+};

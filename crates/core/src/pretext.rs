@@ -6,7 +6,7 @@ use timedrl_nn::Ctx;
 use timedrl_tensor::{NdArray, Prng, Var};
 
 /// Scalar diagnostics of one pretext-loss evaluation.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct PretextBreakdown {
     /// Joint loss `L = L_P + λ·L_C` (Eq. 19).
     pub total: f32,

@@ -14,14 +14,14 @@
 //! 1. every worker waits for `params_{s:06}.tdrl` (the coordinator —
 //!    worker 0 — writes `params_000000` from the freshly seeded model);
 //! 2. each worker computes, for every shard it owns, the gradient of the
-//!    pretext loss on that shard's step-`s` mini-batch, on a throwaway
-//!    model replica built from the parameter snapshot
+//!    pretext loss on that shard's step-`s` mini-batch, on the worker's
+//!    one model replica, loaded from the parameter snapshot
 //!    ([`crate::trainer`]'s `replica_gradient`), and atomically writes
 //!    `grad_{s:06}_{j:04}.tdrl` (`KIND_SHARD_GRAD`);
-//! 3. the coordinator waits for all `S` gradient files, reduces them **in
-//!    ascending shard order** with weights `count_j / Σ count`, applies
-//!    one AdamW step (NaN-guarded, clipped at 5.0 like the in-process
-//!    paths), and writes `params_{s+1:06}.tdrl`.
+//! 3. the coordinator waits for all `S` gradient files and hands them, in
+//!    ascending shard order, to the trainer's `reduce_and_step` — the
+//!    same count-weighted reduce, NaN guard, clip and AdamW step as the
+//!    micro-batch path — then writes `params_{s+1:06}.tdrl`.
 //!
 //! # Why worker count cannot change the bytes
 //!
@@ -46,17 +46,20 @@
 //! peer's file fails with [`TrainError::ShardTimeout`] instead of hanging
 //! forever.
 
-use crate::checkpoint::{load_training_state, save_training_state, TrainingState};
+use crate::checkpoint::{load_training_state, save_training_state};
 use crate::config::TimeDrlConfig;
 use crate::error::TrainError;
 use crate::model::TimeDrl;
 use crate::pretext::PretextBreakdown;
-use crate::trainer::{mix_seed, replica_gradient, PretrainReport};
+use crate::trainer::{
+    capture_state, mix_seed, reduce_and_step, replica_gradient, restore_state, Contribution,
+    EpochMeans, PretrainReport, StepInput, UNUSED_RNG,
+};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 use timedrl_data::{BatchIndices, ShardedDataset};
-use timedrl_nn::{clip_grad_norm, AdamW, Module, Optimizer};
+use timedrl_nn::{AdamW, Module};
 use timedrl_tensor::serialize::{
     decode_arrays, encode_arrays, read_file, write_file_atomic, ByteReader, KIND_ARRAYS,
     KIND_SHARD_GRAD,
@@ -246,14 +249,8 @@ fn read_params(path: &Path) -> io::Result<Vec<NdArray>> {
     Ok(arrays)
 }
 
-/// One shard's gradient contribution to one step, as exchanged on disk.
-struct GradFile {
-    count: u64,
-    breakdown: PretextBreakdown,
-    grads: Vec<NdArray>,
-}
-
-fn write_grad(path: &Path, shard: u64, step: u64, g: &GradFile) -> io::Result<()> {
+/// Writes one shard's contribution to one step.
+fn write_grad(path: &Path, shard: u64, step: u64, g: &Contribution) -> io::Result<()> {
     let mut payload = Vec::new();
     payload.extend_from_slice(&KIND_SHARD_GRAD.to_le_bytes());
     for word in [shard, step, g.count] {
@@ -267,7 +264,15 @@ fn write_grad(path: &Path, shard: u64, step: u64, g: &GradFile) -> io::Result<()
     write_file_atomic(path, &payload)
 }
 
-fn read_grad(path: &Path, expect_shard: u64, expect_step: u64) -> Result<GradFile, TrainError> {
+/// Reads one shard's contribution to one step, checking its stamp and
+/// that a nonempty contribution holds one array per parameter, shaped like
+/// `params` — so the reduce can trust every file it is given.
+fn read_grad(
+    path: &Path,
+    expect_shard: u64,
+    expect_step: u64,
+    params: &[NdArray],
+) -> Result<Contribution, TrainError> {
     let payload = read_file(path, KIND_SHARD_GRAD)?;
     let mut r = ByteReader::new(&payload);
     let (shard, step, count) = ((r.u64())?, (r.u64())?, (r.u64())?);
@@ -281,14 +286,17 @@ fn read_grad(path: &Path, expect_shard: u64, expect_step: u64) -> Result<GradFil
     let vals = r.f32_vec(3).map_err(TrainError::Checkpoint)?;
     let grads = decode_arrays(&mut r)?;
     r.finish()?;
-    if count == 0 && !grads.is_empty() {
+    let want = if count == 0 { &[][..] } else { params };
+    if grads.len() != want.len() || grads.iter().zip(want).any(|(g, p)| g.shape() != p.shape()) {
         return Err(TrainError::ShardProtocol(format!(
-            "{} reports 0 samples but carries {} gradient arrays",
+            "{} reports {count} samples with {} gradient arrays; expected {} arrays shaped \
+             like the parameters",
             path.display(),
-            grads.len()
+            grads.len(),
+            want.len()
         )));
     }
-    Ok(GradFile {
+    Ok(Contribution {
         count,
         breakdown: PretextBreakdown { total: vals[0], predictive: vals[1], contrastive: vals[2] },
         grads,
@@ -344,6 +352,7 @@ fn produce_owned_grads(
     ds: &ShardedDataset,
     schedule: &Schedule,
     s: u64,
+    replica: &TimeDrl,
     snapshot: &[NdArray],
 ) -> Result<(), TrainError> {
     for j in (plan.worker..ds.num_shards()).step_by(plan.n_workers) {
@@ -353,25 +362,20 @@ fn produce_owned_grads(
         }
         let idx = schedule.batch(cfg, s, j)?;
         let g = if idx.is_empty() {
-            GradFile {
-                count: 0,
-                breakdown: PretextBreakdown { total: 0.0, predictive: 0.0, contrastive: 0.0 },
-                grads: Vec::new(),
-            }
+            Contribution { count: 0, breakdown: PretextBreakdown::default(), grads: Vec::new() }
         } else {
             // Materialize only this step's mini-batch (one shard slab
             // resident while gathering, dropped before the gradient is
             // computed) — the whole shard's window tensor never exists.
             let batch = ds.shard_window_batch(j, cfg.input_len, 0, plan.stride, &idx)?.inputs;
-            let (grads, breakdown) = replica_gradient(
-                cfg,
+            replica_gradient(
+                replica,
                 snapshot,
                 &batch,
                 mix_seed(cfg.seed ^ DOMAIN_CTX, s, j as u64),
                 mix_seed(cfg.seed ^ DOMAIN_AUG, s, j as u64),
             )
-            .map_err(TrainError::Backward)?;
-            GradFile { count: idx.len() as u64, breakdown, grads }
+            .map_err(TrainError::Backward)?
         };
         write_grad(&path, j as u64, s, &g).map_err(TrainError::Checkpoint)?;
     }
@@ -391,6 +395,7 @@ fn run_follower(
     if plan.worker >= ds.num_shards() {
         return Ok(()); // more workers than shards: nothing owned
     }
+    let replica = TimeDrl::new(cfg.clone());
     // Resume: the newest published snapshot is where the coordinator
     // needs contributions; everything earlier was already consumed (or
     // survives as byte-identical grad files).
@@ -420,7 +425,7 @@ fn run_follower(
             return Ok(()); // done appeared first
         }
         let snapshot = read_params(&params).map_err(TrainError::Checkpoint)?;
-        produce_owned_grads(cfg, plan, ds, schedule, s, &snapshot)?;
+        produce_owned_grads(cfg, plan, ds, schedule, s, &replica, &snapshot)?;
         s += 1;
     }
     Ok(())
@@ -450,94 +455,47 @@ fn run_coordinator(
     }
     if plan.coord_state_path().exists() {
         let state = load_training_state(plan.coord_state_path())?;
-        restore_coordinator(&model, &mut opt, cfg, &state)?;
-        report = state.report;
-        start_step = state.step;
+        restore_state(&mut opt, cfg.epochs, &state)?;
+        (report, start_step) = (state.report, state.step);
     }
     // Publish (or byte-identically republish, after a crash) the snapshot
     // for the first step this run will execute.
     let mut params: Vec<NdArray> = model.parameters().iter().map(|p| p.to_array()).collect();
     write_params(&plan.params_path(start_step), &params).map_err(TrainError::Checkpoint)?;
 
+    let replica = TimeDrl::new(cfg.clone());
     let spe = schedule.steps_per_epoch;
-    let mut sums = (0.0f64, 0.0f64, 0.0f64);
+    let mut means = EpochMeans::default();
     for s in start_step..schedule.total_steps {
         on_step(s);
-        produce_owned_grads(cfg, plan, ds, schedule, s, &params)?;
+        produce_owned_grads(cfg, plan, ds, schedule, s, &replica, &params)?;
 
-        // Reduce in ascending shard order — the frozen accumulation order
-        // that makes the result independent of worker count.
-        let mut files = Vec::with_capacity(ds.num_shards());
+        // Ascending shard order is the frozen accumulation order that
+        // makes the result independent of worker count.
+        let mut parts = Vec::with_capacity(ds.num_shards());
         for j in 0..ds.num_shards() {
             let path = plan.grad_path(s, j);
             plan.wait_for(&path)?;
-            files.push(read_grad(&path, j as u64, s)?);
+            parts.push(read_grad(&path, j as u64, s, &params)?);
         }
-        let total: u64 = files.iter().map(|g| g.count).sum();
-        if total == 0 {
+        if parts.iter().all(|g| g.count == 0) {
             return Err(TrainError::ShardProtocol(format!(
                 "step {s}: every shard reported an empty batch"
             )));
         }
-        let mut reduced: Vec<NdArray> = params.iter().map(|p| NdArray::zeros(p.shape())).collect();
-        let mut agg = PretextBreakdown { total: 0.0, predictive: 0.0, contrastive: 0.0 };
-        for (j, g) in files.iter().enumerate() {
-            if g.count == 0 {
-                continue;
-            }
-            if g.grads.len() != reduced.len() {
-                return Err(TrainError::ShardProtocol(format!(
-                    "shard {j} step {s}: {} gradient arrays for {} parameters",
-                    g.grads.len(),
-                    reduced.len()
-                )));
-            }
-            let w = g.count as f32 / total as f32;
-            for (acc, grad) in reduced.iter_mut().zip(&g.grads) {
-                for (a, &gv) in acc.data_mut().iter_mut().zip(grad.data()) {
-                    *a += gv * w;
-                }
-            }
-            agg.total += w * g.breakdown.total;
-            agg.predictive += w * g.breakdown.predictive;
-            agg.contrastive += w * g.breakdown.contrastive;
-        }
-        if !agg.total.is_finite() {
-            return Err(TrainError::NonFiniteLoss {
-                epoch: (s / spe) as usize,
-                step: s,
-                batch: (s % spe) as usize,
-                loss: agg.total,
-                last_checkpoint: plan
-                    .coord_state_path()
-                    .exists()
-                    .then(|| plan.coord_state_path()),
-            });
-        }
-        opt.zero_grad();
-        for (p, g) in model.parameters().iter().zip(reduced) {
-            p.try_backward_with(g).map_err(TrainError::Backward)?;
-        }
-        clip_grad_norm(opt.parameters(), 5.0);
-        opt.step();
-        sums.0 += agg.total as f64;
-        sums.1 += agg.predictive as f64;
-        sums.2 += agg.contrastive as f64;
+        let breakdown = reduce_and_step(&mut opt, StepInput::Replicas(parts)).map_err(|e| {
+            let last = plan.coord_state_path().exists().then(|| plan.coord_state_path());
+            e.at((s / spe) as usize, s, (s % spe) as usize, last)
+        })?;
+        means.add(&breakdown);
 
         params = model.parameters().iter().map(|p| p.to_array()).collect();
         write_params(&plan.params_path(s + 1), &params).map_err(TrainError::Checkpoint)?;
 
         if (s + 1) % spe == 0 {
-            let b = spe as f64;
-            report.total.push((sums.0 / b) as f32);
-            report.predictive.push((sums.1 / b) as f32);
-            report.contrastive.push((sums.2 / b) as f32);
-            sums = (0.0, 0.0, 0.0);
-            let epoch_done = (s + 1) / spe;
-            save_training_state(
-                plan.coord_state_path(),
-                &coordinator_state(&model, &opt, epoch_done, s + 1, &report),
-            )?;
+            means.close(&mut report);
+            let state = capture_state(&opt, (s + 1) / spe, s + 1, [UNUSED_RNG; 3], &report);
+            save_training_state(plan.coord_state_path(), &state)?;
             collect_consumed_grads(plan, s + 1)?;
         }
     }
@@ -548,63 +506,6 @@ fn run_coordinator(
     std::fs::write(&tmp, b"done\n").map_err(TrainError::Checkpoint)?;
     std::fs::rename(&tmp, plan.done_path()).map_err(TrainError::Checkpoint)?;
     Ok(report)
-}
-
-/// The coordinator's epoch-boundary snapshot. The three RNG-state slots of
-/// `TrainingState` are unused by the sharded path (all randomness is
-/// re-derived from `(seed, epoch/step, shard)`), but the loader rejects
-/// all-zero states, so fixed nonzero sentinels fill them.
-fn coordinator_state(
-    model: &TimeDrl,
-    opt: &AdamW,
-    next_epoch: u64,
-    step: u64,
-    report: &PretrainReport,
-) -> TrainingState {
-    TrainingState {
-        params: model.parameters().iter().map(|p| p.to_array()).collect(),
-        opt: opt.export_state(),
-        next_epoch,
-        step,
-        epoch_rng: [1, 2, 3, 4],
-        ctx_rng: [1, 2, 3, 4],
-        aug_rng: [1, 2, 3, 4],
-        report: report.clone(),
-    }
-}
-
-fn restore_coordinator(
-    model: &TimeDrl,
-    opt: &mut AdamW,
-    cfg: &TimeDrlConfig,
-    state: &TrainingState,
-) -> Result<(), TrainError> {
-    let params = model.parameters();
-    if state.params.len() != params.len() {
-        return Err(TrainError::ResumeMismatch(format!(
-            "coordinator state has {} parameters, model has {}",
-            state.params.len(),
-            params.len()
-        )));
-    }
-    if state.next_epoch > cfg.epochs as u64 {
-        return Err(TrainError::ResumeMismatch(format!(
-            "coordinator state is at epoch {} of a {}-epoch plan",
-            state.next_epoch, cfg.epochs
-        )));
-    }
-    for (i, (p, a)) in params.iter().zip(&state.params).enumerate() {
-        if p.shape() != a.shape() {
-            return Err(TrainError::ResumeMismatch(format!(
-                "parameter {i}: model shape {:?} vs coordinator state {:?}",
-                p.shape(),
-                a.shape()
-            )));
-        }
-        p.set_value(a.clone());
-    }
-    opt.import_state(state.opt.clone()).map_err(TrainError::ResumeMismatch)?;
-    Ok(())
 }
 
 /// Deletes the gradient files of fully consumed epochs so a long run's
@@ -721,6 +622,57 @@ mod tests {
         assert_eq!(first.total, again.total);
         let after = std::fs::read(dir.join("run/model_final.tdrl")).unwrap();
         assert_eq!(before, after);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn nan_sample_aborts_the_first_step_without_publishing_parameters() {
+        let dir = tmp("nan");
+        // A NaN every 16 rows: every 32-row window, hence every batch, holds one.
+        let mut s = series(200);
+        for row in (0..200).step_by(16) {
+            s.data_mut()[row] = f32::NAN;
+        }
+        ShardWriter::new(64).unwrap().write(&s, dir.join("shards")).unwrap();
+        let cfg = probe_cfg();
+        let mut plan = ShardTrainPlan::new(dir.join("shards"), dir.join("run"));
+        plan.stride = 4;
+        match run_shard_worker(&cfg, &plan) {
+            Err(TrainError::NonFiniteLoss {
+                epoch: 0,
+                step: 0,
+                batch: 0,
+                loss,
+                last_checkpoint: None,
+            }) => assert!(!loss.is_finite(), "{loss}"),
+            other => panic!("expected NonFiniteLoss at step 0, got {other:?}"),
+        }
+        // The step-0 snapshot is the seeded model; no post-step parameters
+        // or state were ever published.
+        let seeded: Vec<NdArray> =
+            TimeDrl::new(cfg.clone()).parameters().iter().map(|p| p.to_array()).collect();
+        assert_eq!(read_params(&plan.params_path(0)).unwrap(), seeded);
+        assert!(!plan.params_path(1).exists(), "a poisoned step was published");
+        assert!(!plan.coord_state_path().exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn grad_file_with_wrong_arrays_is_a_protocol_error() {
+        let dir = tmp("badgrad");
+        let params = vec![NdArray::zeros(&[2, 3]), NdArray::zeros(&[4])];
+        let breakdown = PretextBreakdown { total: 1.0, predictive: 1.0, contrastive: 0.0 };
+        let path = dir.join("grad.tdrl");
+        let too_few = vec![NdArray::zeros(&[2, 3])];
+        let misshaped = vec![NdArray::zeros(&[2, 3]), NdArray::zeros(&[5])];
+        for grads in [too_few, misshaped] {
+            write_grad(&path, 0, 0, &Contribution { count: 4, breakdown, grads }).unwrap();
+            let err = read_grad(&path, 0, 0, &params).err().expect("mismatched grad file accepted");
+            assert!(matches!(err, TrainError::ShardProtocol(_)), "{err}");
+        }
+        let good = Contribution { count: 4, breakdown, grads: params.clone() };
+        write_grad(&path, 0, 0, &good).unwrap();
+        assert_eq!(read_grad(&path, 0, 0, &params).unwrap().grads, params);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,28 +1,36 @@
-//! The self-supervised pre-training loop (Fig. 3a).
+//! The self-supervised pre-training loop (Fig. 3a) and the one
+//! optimizer-step engine every training path ends in.
 //!
-//! Two gradient paths share the optimizer step:
+//! Three paths produce gradients:
 //!
-//! * the default whole-batch path (`micro_batch: None`) — one forward and
-//!   backward per batch on the caller's model, byte-for-byte the historical
-//!   behaviour;
-//! * the data-parallel path (`micro_batch: Some(m)`) — each batch splits
-//!   into micro-batches of `m` samples that run on *independent model
-//!   replicas* fanned out over `testkit::pool`, each with its own
-//!   deterministically-derived dropout/augmentation streams. Gradients come
-//!   back as plain arrays and are reduced on the calling thread in
-//!   micro-batch index order with fixed weights, so the update — and hence
-//!   the final checkpoint — is bit-identical at any `TIMEDRL_THREADS`.
+//! * whole-batch (`micro_batch: None`, [`train_step`]) — one forward on
+//!   the caller's model; the loss stays on the autograd tape;
+//! * micro-batch (`micro_batch: Some(m)`) — the batch splits into
+//!   micro-batches of `m` samples that run on *independent model replicas*
+//!   fanned out over `testkit::pool`, each with dropout/augmentation
+//!   streams seeded from `(cfg.seed, step, micro-batch index)`;
+//! * sharded ([`crate::shard`]) — one replica gradient per shard, computed
+//!   by worker processes and read back from gradient files.
+//!
+//! All three finish in `reduce_and_step`. Replica gradients arrive as
+//! `Contribution`s and are reduced as `Σ_j (count_j / Σ count) · g_j` in
+//! ascending `j` on the calling thread (the coordinator, for shards), so
+//! the floating-point accumulation order never depends on thread or
+//! worker count. Then the NaN guard, gradient install (tape backward, or
+//! seeding each parameter with its reduced gradient), global-norm clipping
+//! at 5.0 and one AdamW step. A pretext other than TimeDRL's would change
+//! how a step's loss or contributions are made, never this tail.
 //!
 //! The autograd graph (`Var`) is `Rc`-based and deliberately not `Send`;
-//! replicas are rebuilt inside each worker from a parameter snapshot, which
-//! is what keeps the parallel path safe without locks.
+//! replicas are built inside each worker and loaded from a parameter
+//! snapshot, which is what keeps the parallel paths safe without locks.
 //!
 //! # Fault tolerance (DESIGN.md §11)
 //!
-//! The loop is panic-free: every failure — bad config, empty data, a
-//! non-finite loss, a checkpoint I/O problem — surfaces as a typed
+//! The loop is panic-free: every failure — bad config, malformed or empty
+//! data, a non-finite loss, a checkpoint I/O problem — surfaces as a typed
 //! [`TrainError`]. With `checkpoint_every`/`checkpoint_path` set, a full
-//! [`TrainingState`](crate::checkpoint::TrainingState) snapshot is written
+//! [`TrainingState`] snapshot is written
 //! atomically at the configured epoch cadence; `resume_from` restores one
 //! and replays the remaining epochs *bit-exactly* — the resumed run's
 //! final checkpoint is byte-identical to an uninterrupted run's, at any
@@ -39,7 +47,7 @@ use std::path::PathBuf;
 use testkit::pool;
 use timedrl_data::BatchIndices;
 use timedrl_nn::{clip_grad_norm, AdamW, Ctx, Module, Optimizer};
-use timedrl_tensor::{NdArray, Prng};
+use timedrl_tensor::{NdArray, Prng, TensorError, Var};
 
 /// Per-epoch history of a pre-training run.
 #[derive(Debug, Clone, Default)]
@@ -80,8 +88,9 @@ impl PretrainReport {
 /// this: windows must already match the model's `n_features`.
 ///
 /// # Errors
-/// [`TrainError`] on an invalid training plan, malformed/empty windows, a
-/// non-finite loss (the step is aborted first), or a checkpoint failure.
+/// [`TrainError`] on an invalid training plan, windows that are empty or
+/// not `[N, input_len, n_features]`, a non-finite loss (the step is
+/// aborted first), or a checkpoint failure.
 pub fn pretrain(model: &TimeDrl, windows: &NdArray) -> Result<PretrainReport, TrainError> {
     pretrain_impl(model, windows, None)
 }
@@ -93,13 +102,26 @@ pub fn pretrain(model: &TimeDrl, windows: &NdArray) -> Result<PretrainReport, Tr
 /// no gradient steps.
 ///
 /// # Errors
-/// Same failure modes as [`pretrain`].
+/// Same failure modes as [`pretrain`]; `val_windows` is shape-checked
+/// before the first step.
 pub fn pretrain_with_validation(
     model: &TimeDrl,
     windows: &NdArray,
     val_windows: &NdArray,
 ) -> Result<PretrainReport, TrainError> {
     pretrain_impl(model, windows, Some(val_windows))
+}
+
+/// Rejects anything but `[N, input_len, n_features]` windows, on which the
+/// model's forward would panic.
+fn check_windows(cfg: &TimeDrlConfig, x: &NdArray) -> Result<(), TrainError> {
+    match x.shape() {
+        [_, t, c] if *t == cfg.input_len && *c == cfg.n_features => Ok(()),
+        got => Err(TrainError::BadWindows {
+            expected: "[N, input_len, n_features]",
+            got: got.to_vec(),
+        }),
+    }
 }
 
 fn pretrain_impl(
@@ -112,8 +134,9 @@ fn pretrain_impl(
     if cfg.epochs == 0 {
         return Err(TrainError::InvalidConfig("epochs is 0 — no training planned".into()));
     }
-    if windows.rank() != 3 {
-        return Err(TrainError::BadWindows { expected: "[N, T, C]", got: windows.shape().to_vec() });
+    check_windows(&cfg, windows)?;
+    if let Some(val) = val_windows {
+        check_windows(&cfg, val)?;
     }
     if windows.shape()[0] == 0 {
         return Err(TrainError::EmptyTrainingSet);
@@ -131,57 +154,28 @@ fn pretrain_impl(
 
     if let Some(path) = &cfg.resume_from {
         let state = load_training_state(path)?;
-        restore_state(model, &mut opt, &cfg, state, &mut epoch_rng, &mut ctx, &mut aug_rng, &mut report, &mut step, &mut start_epoch)?;
+        [epoch_rng, ctx.rng, aug_rng] = restore_state(&mut opt, cfg.epochs, &state)?;
+        (report, step, start_epoch) = (state.report, state.step, state.next_epoch as usize);
         last_checkpoint = Some(path.clone());
     }
 
     for epoch in start_epoch..cfg.epochs {
-        let mut sums = (0.0f64, 0.0f64, 0.0f64);
-        let mut batches = 0usize;
+        let mut means = EpochMeans::default();
         let batch_iter = BatchIndices::new(n, cfg.batch_size, Some(&mut epoch_rng))
             .map_err(|e| TrainError::InvalidConfig(e.to_string()))?;
         for idx in batch_iter {
             let breakdown = match cfg.micro_batch {
-                Some(m) => micro_batch_step(model, &cfg, windows, &idx, m, step, &mut opt),
+                Some(m) => micro_batch_step(&cfg, windows, &idx, m, step, &mut opt),
                 None => {
                     let batch = gather_rows(windows, &idx);
-                    opt.zero_grad();
-                    let (loss, breakdown) = pretext_loss(model, &batch, &mut ctx, &mut aug_rng);
-                    if breakdown.total.is_finite() {
-                        loss.try_backward().map_err(StepError::Backward).map(|()| {
-                            clip_grad_norm(opt.parameters(), 5.0);
-                            opt.step();
-                            breakdown
-                        })
-                    } else {
-                        Err(StepError::NonFinite(breakdown.total))
-                    }
+                    train_step(model, &mut opt, &batch, &mut ctx, &mut aug_rng)
                 }
-            };
-            // Either guard aborts the step before `opt.step()`, so
-            // parameters and any on-disk snapshot hold the last good state.
-            let breakdown = breakdown.map_err(|e| match e {
-                StepError::NonFinite(loss) => TrainError::NonFiniteLoss {
-                    epoch,
-                    step,
-                    batch: batches,
-                    loss,
-                    last_checkpoint: last_checkpoint.clone(),
-                },
-                StepError::Backward(e) => TrainError::Backward(e),
-            })?;
-            sums.0 += breakdown.total as f64;
-            sums.1 += breakdown.predictive as f64;
-            sums.2 += breakdown.contrastive as f64;
-            batches += 1;
+            }
+            .map_err(|e| e.at(epoch, step, means.batches, last_checkpoint.clone()))?;
+            means.add(&breakdown);
             step += 1;
         }
-        if batches > 0 {
-            let b = batches as f64;
-            report.total.push((sums.0 / b) as f32);
-            report.predictive.push((sums.1 / b) as f32);
-            report.contrastive.push((sums.2 / b) as f32);
-        }
+        means.close(&mut report);
 
         if let Some(val) = val_windows {
             // Fixed seed per evaluation: the dropout views (which the
@@ -204,7 +198,8 @@ fn pretrain_impl(
 
         if let (Some(every), Some(path)) = (cfg.checkpoint_every, &cfg.checkpoint_path) {
             if (epoch + 1) % every == 0 {
-                let state = capture_state(model, &opt, epoch + 1, step, &epoch_rng, &ctx, &aug_rng, &report);
+                let rngs = [epoch_rng.state(), ctx.rng.state(), aug_rng.state()];
+                let state = capture_state(&opt, (epoch + 1) as u64, step, rngs, &report);
                 save_training_state(path, &state)?;
                 last_checkpoint = Some(path.clone());
             }
@@ -213,47 +208,74 @@ fn pretrain_impl(
     Ok(report)
 }
 
-/// Snapshots the complete loop state as of the end of epoch `next_epoch -
-/// 1` — exactly what [`restore_state`] needs to continue bit-exactly.
-#[allow(clippy::too_many_arguments)]
-fn capture_state(
-    model: &TimeDrl,
+/// Running sums of one epoch's per-step loss breakdowns.
+#[derive(Default)]
+pub(crate) struct EpochMeans {
+    sums: [f64; 3],
+    /// Steps added so far this epoch.
+    batches: usize,
+}
+
+impl EpochMeans {
+    pub(crate) fn add(&mut self, b: &PretextBreakdown) {
+        for (sum, v) in self.sums.iter_mut().zip([b.total, b.predictive, b.contrastive]) {
+            *sum += v as f64;
+        }
+        self.batches += 1;
+    }
+
+    /// Appends this epoch's means to `report` — nothing for an epoch that
+    /// ran no steps, so the report never holds NaN placeholders — and
+    /// starts the next epoch.
+    pub(crate) fn close(&mut self, report: &mut PretrainReport) {
+        if self.batches > 0 {
+            let b = self.batches as f64;
+            report.total.push((self.sums[0] / b) as f32);
+            report.predictive.push((self.sums[1] / b) as f32);
+            report.contrastive.push((self.sums[2] / b) as f32);
+        }
+        *self = Self::default();
+    }
+}
+
+/// RNG-state slots of a snapshot whose run re-derives all randomness from
+/// its schedule (the sharded coordinator). The loader rejects all-zero
+/// xoshiro256++ states, so this fixed nonzero state fills them.
+pub(crate) const UNUSED_RNG: [u64; 4] = [1, 2, 3, 4];
+
+/// Snapshots the loop state as of the end of epoch `next_epoch - 1` —
+/// everything [`restore_state`] needs to continue bit-exactly. `rngs` are
+/// the batch-order, dropout and augmentation stream states, in that order.
+pub(crate) fn capture_state(
     opt: &AdamW,
-    next_epoch: usize,
+    next_epoch: u64,
     step: u64,
-    epoch_rng: &Prng,
-    ctx: &Ctx,
-    aug_rng: &Prng,
+    rngs: [[u64; 4]; 3],
     report: &PretrainReport,
 ) -> TrainingState {
+    let [epoch_rng, ctx_rng, aug_rng] = rngs;
     TrainingState {
-        params: model.parameters().iter().map(|p| p.to_array()).collect(),
+        params: opt.parameters().iter().map(Var::to_array).collect(),
         opt: opt.export_state(),
-        next_epoch: next_epoch as u64,
+        next_epoch,
         step,
-        epoch_rng: epoch_rng.state(),
-        ctx_rng: ctx.rng.state(),
-        aug_rng: aug_rng.state(),
+        epoch_rng,
+        ctx_rng,
+        aug_rng,
         report: report.clone(),
     }
 }
 
-/// Installs a loaded snapshot into the live training loop, validating it
-/// against the model and plan first.
-#[allow(clippy::too_many_arguments)]
-fn restore_state(
-    model: &TimeDrl,
+/// Validates a loaded snapshot against the optimizer's parameters and an
+/// `epochs`-epoch plan, then installs its parameters and optimizer state.
+/// Nothing is installed unless every check passes. Returns the snapshot's
+/// batch-order, dropout and augmentation streams, in that order.
+pub(crate) fn restore_state(
     opt: &mut AdamW,
-    cfg: &TimeDrlConfig,
-    state: TrainingState,
-    epoch_rng: &mut Prng,
-    ctx: &mut Ctx,
-    aug_rng: &mut Prng,
-    report: &mut PretrainReport,
-    step: &mut u64,
-    start_epoch: &mut usize,
-) -> Result<(), TrainError> {
-    let params = model.parameters();
+    epochs: usize,
+    state: &TrainingState,
+) -> Result<[Prng; 3], TrainError> {
+    let params = opt.parameters();
     if state.params.len() != params.len() {
         return Err(TrainError::ResumeMismatch(format!(
             "checkpoint has {} parameters, model has {}",
@@ -270,58 +292,147 @@ fn restore_state(
             )));
         }
     }
-    if state.next_epoch > cfg.epochs as u64 {
+    if state.next_epoch > epochs as u64 {
         return Err(TrainError::ResumeMismatch(format!(
-            "checkpoint is at epoch {} of a {}-epoch plan",
-            state.next_epoch, cfg.epochs
+            "checkpoint is at epoch {} of a {epochs}-epoch plan",
+            state.next_epoch
         )));
     }
-    opt.import_state(state.opt).map_err(TrainError::ResumeMismatch)?;
-    *epoch_rng = Prng::from_state(state.epoch_rng)
-        .map_err(|e| TrainError::ResumeMismatch(e.into()))?;
-    ctx.rng = Prng::from_state(state.ctx_rng)
-        .map_err(|e| TrainError::ResumeMismatch(e.into()))?;
-    *aug_rng = Prng::from_state(state.aug_rng)
-        .map_err(|e| TrainError::ResumeMismatch(e.into()))?;
-    for (p, a) in params.iter().zip(state.params) {
-        p.set_value(a);
+    let rng = |s| Prng::from_state(s).map_err(|e| TrainError::ResumeMismatch(e.into()));
+    let rngs = [rng(state.epoch_rng)?, rng(state.ctx_rng)?, rng(state.aug_rng)?];
+    opt.import_state(state.opt.clone()).map_err(TrainError::ResumeMismatch)?;
+    for (p, a) in opt.parameters().iter().zip(&state.params) {
+        p.set_value(a.clone());
     }
-    *report = state.report;
-    *step = state.step;
-    *start_epoch = state.next_epoch as usize;
-    Ok(())
+    Ok(rngs)
+}
+
+/// Why an optimizer step was aborted. Either way `AdamW::step` never ran,
+/// so the parameters hold their pre-step values.
+#[derive(Debug)]
+pub enum StepError {
+    /// The step's (reduced) joint loss was NaN/±inf.
+    NonFinite(f32),
+    /// A backward rule failed with a typed tensor error.
+    Backward(TensorError),
+}
+
+impl StepError {
+    /// The run-level error for a step aborted at global step `step`, batch
+    /// `batch` of epoch `epoch`.
+    pub(crate) fn at(
+        self,
+        epoch: usize,
+        step: u64,
+        batch: usize,
+        last_checkpoint: Option<PathBuf>,
+    ) -> TrainError {
+        match self {
+            StepError::NonFinite(loss) => {
+                TrainError::NonFiniteLoss { epoch, step, batch, loss, last_checkpoint }
+            }
+            StepError::Backward(e) => TrainError::Backward(e),
+        }
+    }
+}
+
+/// One replica's share of an optimizer step: its sample count, its loss
+/// breakdown, and its gradients in `parameters()` order (no arrays when
+/// `count` is 0).
+pub(crate) struct Contribution {
+    pub(crate) count: u64,
+    pub(crate) breakdown: PretextBreakdown,
+    pub(crate) grads: Vec<NdArray>,
+}
+
+/// What [`reduce_and_step`] applies.
+pub(crate) enum StepInput {
+    /// A loss on the live model's tape, built after `opt.zero_grad()`.
+    Tape(Var, PretextBreakdown),
+    /// Replica contributions in reduction order, with a nonzero count
+    /// total and one array per parameter in each nonempty contribution.
+    Replicas(Vec<Contribution>),
+}
+
+/// The step tail every training path shares: reduce replica gradients,
+/// guard against a non-finite loss, install the gradients, clip their
+/// global norm at 5.0 and take one AdamW step. Returns the step's loss
+/// breakdown (count-weighted, for replicas).
+pub(crate) fn reduce_and_step(
+    opt: &mut AdamW,
+    input: StepInput,
+) -> Result<PretextBreakdown, StepError> {
+    let (reduced, breakdown) = match &input {
+        StepInput::Tape(_, breakdown) => (Vec::new(), *breakdown),
+        StepInput::Replicas(parts) => reduce(opt.parameters(), parts),
+    };
+    if !breakdown.total.is_finite() {
+        return Err(StepError::NonFinite(breakdown.total));
+    }
+    match input {
+        StepInput::Tape(loss, _) => loss.try_backward(),
+        StepInput::Replicas(_) => {
+            opt.zero_grad();
+            opt.parameters().iter().zip(reduced).try_for_each(|(p, g)| p.try_backward_with(g))
+        }
+    }
+    .map_err(StepError::Backward)?;
+    clip_grad_norm(opt.parameters(), 5.0);
+    opt.step();
+    Ok(breakdown)
+}
+
+/// `Σ_j (count_j / Σ count) · g_j` over `parts` in ascending `j`, and the
+/// loss breakdown under the same weights. The fixed order and weights make
+/// the result independent of which thread or process produced each part.
+fn reduce(params: &[Var], parts: &[Contribution]) -> (Vec<NdArray>, PretextBreakdown) {
+    let total: u64 = parts.iter().map(|c| c.count).sum();
+    let mut reduced: Vec<NdArray> = params.iter().map(|p| NdArray::zeros(&p.shape())).collect();
+    let mut agg = PretextBreakdown::default();
+    for part in parts.iter().filter(|c| c.count > 0) {
+        let w = part.count as f32 / total as f32;
+        for (acc, g) in reduced.iter_mut().zip(&part.grads) {
+            for (a, &gv) in acc.data_mut().iter_mut().zip(g.data()) {
+                *a += gv * w;
+            }
+        }
+        agg.total += w * part.breakdown.total;
+        agg.predictive += w * part.breakdown.predictive;
+        agg.contrastive += w * part.breakdown.contrastive;
+    }
+    (reduced, agg)
+}
+
+/// One whole-batch optimizer step on `model`, whose parameters `opt`
+/// holds: the Siamese pretext forward on `batch`, then the shared step
+/// tail. This is the step [`pretrain`] runs when `micro_batch` is `None`.
+///
+/// # Errors
+/// [`StepError`] when the loss is non-finite or a backward rule fails; the
+/// optimizer step is skipped and the parameters keep their values.
+pub fn train_step(
+    model: &TimeDrl,
+    opt: &mut AdamW,
+    batch: &NdArray,
+    ctx: &mut Ctx,
+    aug_rng: &mut Prng,
+) -> Result<PretextBreakdown, StepError> {
+    opt.zero_grad();
+    let (loss, breakdown) = pretext_loss(model, batch, ctx, aug_rng);
+    reduce_and_step(opt, StepInput::Tape(loss, breakdown))
 }
 
 /// One data-parallel optimizer step: fan the batch out as micro-batches on
-/// model replicas, reduce the gradients in index order, step once.
+/// model replicas, then reduce and step once.
 ///
-/// Each micro-batch `j` of optimizer step `step` draws dropout and
-/// augmentation randomness from seeds mixed from `(cfg.seed, step, j)` —
-/// a function of the *schedule position only*, never of which worker ran
-/// it, which is half of the determinism argument. The other half is the
-/// reduction: micro-gradients are combined on the calling thread as
-/// `Σ_j (|chunk_j| / B) · g_j` in ascending `j`, so the floating-point
-/// accumulation order is fixed regardless of thread count.
-///
-/// The replicas' BatchNorm running statistics are discarded with the
-/// replicas (only trainable parameters round-trip), matching what
-/// [`TimeDrl::save`] checkpoints.
-///
-/// Why a single optimizer step was aborted (before `opt.step()` ran).
-/// Mapped to the matching [`TrainError`] by the epoch loop, which owns the
-/// context (epoch/step/batch indices, last checkpoint) the error reports.
-enum StepError {
-    /// The reduced loss came back NaN/±inf.
-    NonFinite(f32),
-    /// A backward rule failed with a typed tensor error.
-    Backward(timedrl_tensor::TensorError),
-}
-
-/// `Err` reports an aborted step — a non-finite reduced loss or a failed
-/// backward rule; the optimizer step is skipped either way, so the caller's
-/// parameters stay at their pre-batch values.
+/// Micro-batch `j` of optimizer step `step` draws dropout and augmentation
+/// randomness from seeds mixed from `(cfg.seed, step, j)` — a function of
+/// the *schedule position only*, never of which worker ran it. With the
+/// ascending-`j` reduce that makes the update bit-identical at any
+/// `TIMEDRL_THREADS`. Each pool task builds its own replica because `Var`
+/// is not `Send`; the replicas' BatchNorm running statistics are dropped
+/// with them, matching what [`TimeDrl::save`] checkpoints.
 fn micro_batch_step(
-    model: &TimeDrl,
     cfg: &TimeDrlConfig,
     windows: &NdArray,
     idx: &[usize],
@@ -329,80 +440,55 @@ fn micro_batch_step(
     step: u64,
     opt: &mut AdamW,
 ) -> Result<PretextBreakdown, StepError> {
-    assert!(micro > 0, "micro_batch must be positive");
-    let params = model.parameters();
-    let snapshot: Vec<NdArray> = params.iter().map(|p| p.to_array()).collect();
+    let snapshot: Vec<NdArray> = opt.parameters().iter().map(Var::to_array).collect();
     let chunks: Vec<&[usize]> = idx.chunks(micro).collect();
-    let b_total = idx.len() as f32;
-    let results = pool::map_indexed(&chunks, |j, chunk| {
-        let batch = gather_rows(windows, chunk);
-        let (grads, breakdown) = replica_gradient(
-            cfg,
+    let parts = pool::map_indexed(&chunks, |j, chunk| {
+        replica_gradient(
+            &TimeDrl::new(cfg.clone()),
             &snapshot,
-            &batch,
+            &gather_rows(windows, chunk),
             mix_seed(cfg.seed ^ 0x5eed_0002, step, j as u64),
             mix_seed(cfg.seed ^ 0x5eed_0003, step, j as u64),
-        )?;
-        Ok((grads, breakdown, chunk.len() as f32 / b_total))
-    });
-    opt.zero_grad();
-    let mut reduced: Vec<NdArray> = snapshot.iter().map(|p| NdArray::zeros(p.shape())).collect();
-    let mut agg = PretextBreakdown { total: 0.0, predictive: 0.0, contrastive: 0.0 };
-    for result in results {
-        let (grads, breakdown, w) = result.map_err(StepError::Backward)?;
-        for (acc, g) in reduced.iter_mut().zip(grads.iter()) {
-            // In-place axpy, still ascending-`j`: each element accumulates
-            // `acc + g*w` exactly as the old `acc.add(&g.scale(w))` did,
-            // without materializing either intermediate array.
-            for (a, &gj) in acc.data_mut().iter_mut().zip(g.data()) {
-                *a += gj * w;
-            }
-        }
-        agg.total += w * breakdown.total;
-        agg.predictive += w * breakdown.predictive;
-        agg.contrastive += w * breakdown.contrastive;
-    }
-    if !agg.total.is_finite() {
-        return Err(StepError::NonFinite(agg.total));
-    }
-    for (p, g) in params.iter().zip(reduced) {
-        p.try_backward_with(g).map_err(StepError::Backward)?;
-    }
-    clip_grad_norm(opt.parameters(), 5.0);
-    opt.step();
-    Ok(agg)
+        )
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()
+    .map_err(StepError::Backward)?;
+    reduce_and_step(opt, StepInput::Replicas(parts))
 }
 
-/// Builds a throwaway model replica from a parameter snapshot, runs one
-/// pretext forward/backward on `batch`, and returns the raw gradients in
-/// stable `parameters()` order plus the loss breakdown.
+/// Loads `snapshot` into `replica`, clears its gradients, runs one pretext
+/// forward/backward on `batch`, and returns the gradients in stable
+/// `parameters()` order with the batch's sample count and loss breakdown.
 ///
-/// The gradients are a pure function of `(snapshot, batch, ctx_seed,
-/// aug_seed)` — never of which thread or *process* ran the replica. The
-/// micro-batch path and the multi-process shard workers
-/// ([`crate::shard`]) both lean on this for their bit-identical-reduction
-/// arguments.
+/// The result is a pure function of `(snapshot, batch, ctx_seed, aug_seed)`
+/// — never of which thread or *process* ran the replica, nor of what it
+/// computed before: every parameter value and gradient is overwritten, and
+/// its only other state, BatchNorm running statistics, does not enter a
+/// training-mode forward. The micro-batch path and the multi-process shard
+/// workers ([`crate::shard`]) both lean on this for their bit-identical
+/// reductions.
 pub(crate) fn replica_gradient(
-    cfg: &TimeDrlConfig,
+    replica: &TimeDrl,
     snapshot: &[NdArray],
     batch: &NdArray,
     ctx_seed: u64,
     aug_seed: u64,
-) -> Result<(Vec<NdArray>, PretextBreakdown), timedrl_tensor::TensorError> {
-    let replica = TimeDrl::new(cfg.clone());
-    for (p, v) in replica.parameters().iter().zip(snapshot.iter()) {
+) -> Result<Contribution, TensorError> {
+    let params = replica.parameters();
+    for (p, v) in params.iter().zip(snapshot) {
         p.set_value(v.clone());
+        p.zero_grad();
     }
     let mut ctx = Ctx::train(ctx_seed);
     let mut aug = Prng::new(aug_seed);
-    let (loss, breakdown) = pretext_loss(&replica, batch, &mut ctx, &mut aug);
+    let (loss, breakdown) = pretext_loss(replica, batch, &mut ctx, &mut aug);
     loss.try_backward()?;
-    let grads = replica
-        .parameters()
+    let grads = params
         .iter()
         .map(|p| p.grad().unwrap_or_else(|| NdArray::zeros(&p.shape())))
         .collect();
-    Ok((grads, breakdown))
+    Ok(Contribution { count: batch.shape()[0] as u64, breakdown, grads })
 }
 
 /// SplitMix64-style seed mixer: decorrelates the per-micro-batch RNG
@@ -535,6 +621,55 @@ mod tests {
         ));
         let empty = NdArray::zeros(&[0, 32, 1]);
         assert!(matches!(pretrain(&m, &empty), Err(TrainError::EmptyTrainingSet)));
+    }
+
+    fn snapshot(m: &TimeDrl) -> Vec<NdArray> {
+        m.parameters().iter().map(Var::to_array).collect()
+    }
+
+    #[test]
+    fn windows_not_matching_the_model_are_rejected_before_any_step() {
+        let m = tiny_model(4); // input_len 32, n_features 1
+        let before = snapshot(&m);
+        let bad_window = |r: Result<PretrainReport, TrainError>, got: &[usize]| match r {
+            Err(TrainError::BadWindows { got: g, .. }) => assert_eq!(g, got),
+            other => panic!("expected BadWindows {got:?}, got {other:?}"),
+        };
+        bad_window(pretrain(&m, &NdArray::zeros(&[8, 40, 1])), &[8, 40, 1]);
+        bad_window(pretrain(&m, &NdArray::zeros(&[8, 32, 3])), &[8, 32, 3]);
+        let train = structured_windows(16, 32, 11);
+        let rank2_val = NdArray::zeros(&[4, 32]);
+        bad_window(pretrain_with_validation(&m, &train, &rank2_val), &[4, 32]);
+        assert_eq!(before, snapshot(&m), "a rejected run must not touch the parameters");
+    }
+
+    /// A NaN sample poisons the first step's loss on either in-process
+    /// path; the step is refused before any gradient is applied.
+    #[test]
+    fn nan_sample_aborts_the_first_step_on_both_in_process_paths() {
+        for micro_batch in [None, Some(3)] {
+            let mut cfg = TimeDrlConfig::forecasting(32);
+            cfg.d_model = 16;
+            cfg.d_ff = 32;
+            cfg.n_heads = 2;
+            cfg.batch_size = 8;
+            cfg.micro_batch = micro_batch;
+            let m = TimeDrl::new(cfg);
+            let mut windows = structured_windows(8, 32, 12);
+            windows.data_mut()[5 * 32 + 7] = f32::NAN;
+            let before = snapshot(&m);
+            match pretrain(&m, &windows) {
+                Err(TrainError::NonFiniteLoss {
+                    epoch: 0,
+                    step: 0,
+                    batch: 0,
+                    loss,
+                    last_checkpoint: None,
+                }) => assert!(!loss.is_finite(), "{micro_batch:?}: {loss}"),
+                other => panic!("{micro_batch:?}: expected NonFiniteLoss at step 0, got {other:?}"),
+            }
+            assert_eq!(before, snapshot(&m), "{micro_batch:?}: poisoned step changed parameters");
+        }
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! ```
 //!
 //! `check` prints `allocs_per_request=N` for the gate and exits nonzero
-//! on any mismatch. Run it with `TIMEDRL_THREADS=1`: the allocation
-//! counter is process-global, so the measurement must be single-threaded.
+//! on any mismatch. Run it with `TIMEDRL_THREADS=1`, so the count does
+//! not depend on how many pool workers the host spawns.
 
 use std::io::Write as _;
 use std::path::Path;

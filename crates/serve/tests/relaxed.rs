@@ -73,7 +73,7 @@ fn relaxed_steady_state_allocates_nothing() {
     let model = build(17);
     let relaxed = compile(&model, Precision::Relaxed);
     let x = Prng::new(77).randn(&[3, 16, 1]);
-    // Allocation counting is process-global; pin to one worker thread.
+    // One worker thread: no pool-worker spawns enter the count.
     pool::with_threads(1, || {
         relaxed.warm(3);
         relaxed.warm(3);

@@ -9,8 +9,8 @@
 //!    `CompiledModel::embed` + the tape-path `anomaly_scores` of the
 //!    same materialized window, exiting nonzero on any mismatch.
 //!
-//! Run it with `TIMEDRL_THREADS=1`: the allocation counter is
-//! process-global, so the measurement must be single-threaded.
+//! Run it with `TIMEDRL_THREADS=1`, so the allocation count does not
+//! depend on how many pool workers the host spawns.
 
 use std::process::ExitCode;
 use testkit::alloc::count_allocations;

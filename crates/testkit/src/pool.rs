@@ -51,6 +51,7 @@
 //!   cutoff.
 
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// Hard upper bound on worker threads (a safety clamp for absurd
@@ -184,6 +185,9 @@ where
         lanes[ci % workers].push((ci * chunk_len, chunk));
     }
     let f = &f;
+    // Each worker is a fresh thread: its whole allocation count belongs to
+    // this call, and is credited to the calling thread once all have joined.
+    let worker_allocs = &AtomicU64::new(0);
     std::thread::scope(|scope| {
         for lane in lanes {
             scope.spawn(move || {
@@ -191,9 +195,12 @@ where
                 for (offset, chunk) in lane {
                     f(offset, chunk);
                 }
+                let own = crate::alloc::thread_allocation_count();
+                worker_allocs.fetch_add(own, Ordering::Relaxed);
             });
         }
     });
+    crate::alloc::credit(worker_allocs.load(Ordering::Relaxed));
 }
 
 /// Applies `f(index, &item)` to every item, in parallel, returning results
