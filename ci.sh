@@ -63,6 +63,21 @@ if ! cmp "$probe_dir/ckpt_t1.bin" "$probe_dir/ckpt_t4.bin"; then
 fi
 echo "ok: checkpoints byte-identical"
 
+echo "== training-bits digest: checkpoint bytes match the committed value =="
+# The other probes compare runs with each other (threads 1 vs 4, resumed vs
+# straight), so a kernel change that moves training bits the same way in
+# every run passes them. This pins the bytes themselves, in the style of
+# ALLOC_BUDGET below. Re-record CKPT_CKSUM only in a change that alters
+# training bits on purpose, and say so in that change's CHANGES.md line.
+CKPT_CKSUM="2423305012 20580"
+ckpt_cksum=$(cksum < "$probe_dir/ckpt_t1.bin")
+echo "TIMEDRL_THREADS=1 pretrain_checkpoint cksum: $ckpt_cksum (committed $CKPT_CKSUM)"
+if [ "$ckpt_cksum" != "$CKPT_CKSUM" ]; then
+    echo "FAIL: training bits moved: checkpoint cksum differs from the committed value"
+    exit 1
+fi
+echo "ok: training bits match the committed digest"
+
 echo "== kill-and-resume gate: checkpoint resume is bit-exact =="
 # Crash-safe checkpointing (DESIGN.md §11): 4 epochs straight vs 2 epochs +
 # training-state snapshot + resume for 2 in a *separate process* must yield

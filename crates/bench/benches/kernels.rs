@@ -1,10 +1,12 @@
 //! Micro-benchmarks for the numeric substrate: matmul, conv1d,
-//! attention-block forward/backward — the kernels every experiment spends
-//! its time in. Runs on `testkit::bench` (wall-clock, median/p95); tune
-//! with `TESTKIT_BENCH_SAMPLES` / `TESTKIT_BENCH_WARMUP_MS` /
-//! `TESTKIT_BENCH_SAMPLE_MS`.
+//! attention-block forward/backward, and the Fig. 4-shape elementwise
+//! layers (bias add and its gradient, LayerNorm, GELU) — the kernels every
+//! experiment spends its time in. Runs on `testkit::bench` (wall-clock,
+//! median/p95); tune with `TESTKIT_BENCH_SAMPLES` /
+//! `TESTKIT_BENCH_WARMUP_MS` / `TESTKIT_BENCH_SAMPLE_MS`.
 
 use testkit::Bench;
+use timedrl_bench::step::bench_fig4_layers;
 use timedrl_nn::{Conv1d, Ctx, Module, TransformerConfig, TransformerEncoder};
 use timedrl_tensor::{matmul, Prng, Var};
 
@@ -67,4 +69,5 @@ fn main() {
     bench_conv1d(&mut b);
     bench_transformer_block(&mut b);
     bench_backward_pass(&mut b);
+    bench_fig4_layers(&mut b);
 }

@@ -7,9 +7,11 @@
 //! repository root (override with `TIMEDRL_BENCH_OUT`). Alongside the
 //! usual median/min/p95 seconds it records `allocs_per_step`, measured at
 //! steady state (after warm-up steps, so every pool bucket is populated) —
-//! the same metric `ci.sh` gates via the `step_alloc_probe` binary.
+//! the same metric `ci.sh` gates via the `step_alloc_probe` binary. The
+//! Fig. 4-shape elementwise layer rows (`fig4_layers`) ride along.
 
 use testkit::{Bench, Json};
+use timedrl_bench::step::bench_fig4_layers;
 use timedrl_bench::StepHarness;
 
 fn out_path() -> std::path::PathBuf {
@@ -49,6 +51,10 @@ fn main() {
     drop(loss);
     group.finish();
 
+    // The elementwise layers of the Fig. 4 step, so a regression in any
+    // of them has a committed baseline (DESIGN.md §10, row walker).
+    let layers = bench_fig4_layers(&mut b);
+
     // Allocation metric, measured after the timing loop: thousands of
     // steps in, every transient buffer should come from the pool.
     let allocs_per_step = harness.allocations_per_step(2, 8);
@@ -65,11 +71,16 @@ fn main() {
         ("timedrl_threads".to_string(), Json::Num(threads as f64)),
         (
             "results".to_string(),
-            Json::Arr(vec![
-                Json::Obj(whole),
-                Json::Obj(result_obj("pretrain_phases", "forward_b8_d16", &fwd)),
-                Json::Obj(result_obj("pretrain_phases", "backward_b8_d16", &bwd)),
-            ]),
+            Json::Arr(
+                [
+                    Json::Obj(whole),
+                    Json::Obj(result_obj("pretrain_phases", "forward_b8_d16", &fwd)),
+                    Json::Obj(result_obj("pretrain_phases", "backward_b8_d16", &bwd)),
+                ]
+                .into_iter()
+                .chain(layers.iter().map(|(id, r)| Json::Obj(result_obj("fig4_layers", id, r))))
+                .collect(),
+            ),
         ),
     ]);
     let path = out_path();

@@ -6,8 +6,10 @@
 //! gate) drive the same `StepHarness`, so the number CI gates on is the
 //! number the bench reports.
 
+use testkit::bench::BenchReport;
+use testkit::Bench;
 use timedrl::{gather_rows, pretext_loss, train_step, TimeDrl, TimeDrlConfig};
-use timedrl_nn::{AdamW, Ctx, Module, Optimizer};
+use timedrl_nn::{AdamW, Ctx, LayerNorm, Module, Optimizer};
 use timedrl_tensor::{NdArray, Prng, Var};
 
 /// A live whole-batch training step: [`timedrl::train_step`], the step
@@ -102,6 +104,45 @@ impl Default for StepHarness {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// Times the elementwise layers of the Fig. 4 training step (33 tokens,
+/// d_model 32, batch 32; GELU at the d_ff 64 width) as a `fig4_layers`
+/// group: the Linear bias add, its gradient (`reduce_to_shape` to the bias
+/// shape), LayerNorm forward+backward and GELU forward+backward. Returns
+/// each row's id and report, for benches that record a baseline.
+pub fn bench_fig4_layers(b: &mut Bench) -> Vec<(&'static str, BenchReport)> {
+    let mut rng = Prng::new(7);
+    let x = rng.randn(&[32, 33, 32]);
+    let bias = rng.randn(&[32]);
+    let norm = LayerNorm::new(32);
+    let xv = Var::parameter(x.clone());
+    let hidden = Var::parameter(rng.randn(&[32, 33, 64]));
+    let mut group = b.group("fig4_layers");
+    let rows = vec![
+        ("bias_add_32x33x32", group.bench("bias_add_32x33x32", || x.add(&bias))),
+        ("bias_grad_32x33x32", group.bench("bias_grad_32x33x32", || x.reduce_to_shape(&[32]))),
+        (
+            "layernorm_fwd_bwd_32x33x32",
+            group.bench("layernorm_fwd_bwd_32x33x32", || {
+                xv.zero_grad();
+                let loss = norm.forward(&xv).sum();
+                loss.backward();
+                loss.item()
+            }),
+        ),
+        (
+            "gelu_fwd_bwd_32x33x64",
+            group.bench("gelu_fwd_bwd_32x33x64", || {
+                hidden.zero_grad();
+                let loss = hidden.gelu().sum();
+                loss.backward();
+                loss.item()
+            }),
+        ),
+    ];
+    group.finish();
+    rows
 }
 
 #[cfg(test)]

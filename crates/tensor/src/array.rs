@@ -3,9 +3,13 @@
 //! This is the numeric workhorse underneath the autograd layer. It favours
 //! simplicity and predictability over generality: storage is always
 //! contiguous C-order `Vec<f32>`, so every view-producing operation
-//! (`transpose`, `slice`, `broadcast_to`, ...) materializes a fresh array.
-//! At the model sizes used by the TimeDRL reproduction this is never the
-//! bottleneck, and it eliminates the entire class of stride-aliasing bugs.
+//! (`transpose`, `slice`, `broadcast_to`, ...) materializes a fresh array,
+//! which eliminates the entire class of stride-aliasing bugs. The cost
+//! is not free: at the Fig. 4 geometry (33 tokens, d32, batch 32) bias
+//! adds, LayerNorm and their gradients are a large share of a training
+//! step, so the broadcasting kernels (`zip_map`, `broadcast_to`,
+//! `reduce_to_shape`) walk whole innermost-axis runs through a private
+//! row walker instead of raveling coordinates per element.
 
 use crate::bufpool::Buffer;
 use crate::error::{Result, TensorError};
@@ -202,54 +206,7 @@ impl NdArray {
         let new_shape: Dims = axes.iter().map(|&a| self.shape[a]).collect();
         let src_strides = row_major_strides(&self.shape);
         let perm_strides: Dims = axes.iter().map(|&a| src_strides[a]).collect();
-        let n = self.numel();
-        let mut data = Buffer::zeroed(n);
-        // Walk the output row-major, gathering whole innermost-axis runs at
-        // a time: the run's source offsets form an arithmetic sequence with
-        // stride `perm_strides[last]`, and the run's base offset updates
-        // incrementally as the outer coordinates tick over — no per-element
-        // `ravel`. Pure data movement, so this is exactly the permutation
-        // the naive per-element walk produces.
-        if n > 0 && new_shape.is_empty() {
-            data[0] = self.data[0];
-        } else if n > 0 {
-            let r = new_shape.len();
-            let inner = new_shape[r - 1];
-            let inner_stride = perm_strides[r - 1];
-            let outer = r - 1;
-            let mut coords = Dims::zeros(outer);
-            let mut base = 0usize;
-            let mut written = 0usize;
-            'rows: loop {
-                let dst = &mut data[written..written + inner];
-                if inner_stride == 1 {
-                    dst.copy_from_slice(&self.data[base..base + inner]);
-                } else {
-                    let mut src = base;
-                    for d in dst {
-                        *d = self.data[src];
-                        src += inner_stride;
-                    }
-                }
-                written += inner;
-                // Increment the outer coordinates (row-major order of the
-                // new shape), keeping `base` equal to their raveled offset.
-                let mut ax = outer;
-                loop {
-                    if ax == 0 {
-                        break 'rows;
-                    }
-                    ax -= 1;
-                    coords[ax] += 1;
-                    base += perm_strides[ax];
-                    if coords[ax] < new_shape[ax] {
-                        break;
-                    }
-                    base -= coords[ax] * perm_strides[ax];
-                    coords[ax] = 0;
-                }
-            }
-        }
+        let data = self.gather(&new_shape, &perm_strides);
         Self { shape: new_shape, data }
     }
 
@@ -295,21 +252,25 @@ impl NdArray {
         if self.shape == target {
             return Ok(self.clone());
         }
-        let strides = broadcast_strides(&self.shape, target);
-        let n = numel(target);
-        let mut data = Buffer::with_capacity(n);
-        let mut coords = Dims::zeros(target.len());
-        for _ in 0..n {
-            data.push(self.data[ravel(&coords, &strides)]);
-            for ax in (0..target.len()).rev() {
-                coords[ax] += 1;
-                if coords[ax] < target[ax] {
-                    break;
-                }
-                coords[ax] = 0;
-            }
-        }
+        let data = self.gather(target, &broadcast_strides(&self.shape, target));
         Ok(Self { shape: Dims::from(target), data })
+    }
+
+    /// Materializes `self` read through `strides` over `shape`, row-major:
+    /// the data movement behind [`NdArray::permute`] and
+    /// [`NdArray::broadcast_to`].
+    fn gather(&self, shape: &[usize], strides: &[usize]) -> Buffer {
+        let n = numel(shape);
+        let walk = RowWalk::new(shape, strides, &row_major_strides(shape));
+        let (stride, _) = walk.inner_strides();
+        let src = &self.data;
+        let mut data = Buffer::with_capacity(n);
+        walk.for_each_run(0, n, |_, len, s0, _| match stride {
+            1 => data.extend_from_slice(&src[s0..s0 + len]),
+            0 => data.extend(std::iter::repeat(src[s0]).take(len)),
+            _ => data.extend((0..len).map(|i| src[s0 + i * stride])),
+        });
+        data
     }
 
     /// Sums `self` down to `target` shape (the adjoint of `broadcast_to`).
@@ -326,18 +287,34 @@ impl NdArray {
             self.shape
         );
         let mut out = NdArray::zeros(target);
-        let strides = broadcast_strides(target, &self.shape);
-        let mut coords = Dims::zeros(self.rank());
-        for &v in self.data.iter() {
-            out.data[ravel(&coords, &strides)] += v;
-            for ax in (0..self.shape.len()).rev() {
-                coords[ax] += 1;
-                if coords[ax] < self.shape[ax] {
-                    break;
+        let (dst_strides, src_strides) = (broadcast_strides(target, &self.shape), row_major_strides(&self.shape));
+        let walk = RowWalk::new(&self.shape, &dst_strides, &src_strides);
+        let (stride, _) = walk.inner_strides();
+        let (src, dst) = (&self.data, &mut out.data);
+        // Serial, in source order: each output element sums its addends in
+        // the order they appear in `self`, whatever the run shapes.
+        walk.for_each_run(0, src.len(), |pos, len, d0, _| {
+            let src = &src[pos..pos + len];
+            match stride {
+                1 => {
+                    for (o, &v) in dst[d0..d0 + len].iter_mut().zip(src) {
+                        *o += v;
+                    }
                 }
-                coords[ax] = 0;
+                0 => {
+                    let mut acc = dst[d0];
+                    for &v in src {
+                        acc += v;
+                    }
+                    dst[d0] = acc;
+                }
+                _ => {
+                    for (i, &v) in src.iter().enumerate() {
+                        dst[d0 + i * stride] += v;
+                    }
+                }
             }
-        }
+        });
         out
     }
 
@@ -382,9 +359,9 @@ impl NdArray {
 
     /// Broadcasting binary map: `f(self, other)` elementwise over the
     /// broadcast shape. Large outputs fan out over the pool in fixed
-    /// element chunks; each chunk unravels its start offset into
-    /// coordinates and walks them independently, so the parallel result is
-    /// bit-identical to the serial one.
+    /// element chunks; each chunk walks its own range of rows (starting
+    /// mid-row if the chunk boundary falls there), so the parallel result
+    /// is bit-identical to the serial one.
     ///
     /// # Errors
     /// Returns [`TensorError::BroadcastMismatch`] if shapes are incompatible.
@@ -409,24 +386,43 @@ impl NdArray {
             return Ok(Self { shape: self.shape.clone(), data });
         }
         let out_shape = broadcast_shape(&self.shape, &other.shape)?;
-        let ls = broadcast_strides(&self.shape, &out_shape);
-        let rs = broadcast_strides(&other.shape, &out_shape);
+        let walk = RowWalk::new(
+            &out_shape,
+            &broadcast_strides(&self.shape, &out_shape),
+            &broadcast_strides(&other.shape, &out_shape),
+        );
+        let (sa, sb) = walk.inner_strides();
         let n = numel(&out_shape);
         let mut data = Buffer::zeroed(n);
         let (lhs, rhs) = (&self.data, &other.data);
-        let shape_ref = &out_shape;
         pool::for_each_chunk(&mut data, chunk_for(n), |offset, chunk| {
-            let mut coords = unravel(offset, shape_ref);
-            for o in chunk.iter_mut() {
-                *o = f(lhs[ravel(&coords, &ls)], rhs[ravel(&coords, &rs)]);
-                for ax in (0..shape_ref.len()).rev() {
-                    coords[ax] += 1;
-                    if coords[ax] < shape_ref[ax] {
-                        break;
+            walk.for_each_run(offset, chunk.len(), |pos, len, a0, b0| {
+                let out = &mut chunk[pos - offset..pos - offset + len];
+                match (sa, sb) {
+                    (1, 1) => {
+                        for ((o, &x), &y) in out.iter_mut().zip(&lhs[a0..a0 + len]).zip(&rhs[b0..b0 + len]) {
+                            *o = f(x, y);
+                        }
                     }
-                    coords[ax] = 0;
+                    (1, 0) => {
+                        let y = rhs[b0];
+                        for (o, &x) in out.iter_mut().zip(&lhs[a0..a0 + len]) {
+                            *o = f(x, y);
+                        }
+                    }
+                    (0, 1) => {
+                        let x = lhs[a0];
+                        for (o, &y) in out.iter_mut().zip(&rhs[b0..b0 + len]) {
+                            *o = f(x, y);
+                        }
+                    }
+                    _ => {
+                        for (i, o) in out.iter_mut().enumerate() {
+                            *o = f(lhs[a0 + i * sa], rhs[b0 + i * sb]);
+                        }
+                    }
                 }
-            }
+            });
         });
         Ok(Self { shape: out_shape, data })
     }
@@ -821,9 +817,103 @@ impl NdArray {
     }
 }
 
+/// A broadcast walk over a row-major shape, one innermost-axis run at a
+/// time, for two operands read through their own strides (0 on a
+/// broadcast axis).
+///
+/// Size-1 axes are dropped and neighbouring axes that both operands step
+/// through contiguously are fused, so `[32, 33, 32] + [32]` walks as 1056
+/// runs of 32 and `[B, T, 1] + []` as one run of `B·T`. The outer
+/// coordinates advance once per run instead of being re-raveled per
+/// element. The walk only decides *where* each element is read: callers
+/// still visit the walked shape in row-major order, which is what keeps
+/// them bit-identical to a per-element coordinate walk (DESIGN.md §10).
+struct RowWalk {
+    shape: Dims,
+    a: Dims,
+    b: Dims,
+}
+
+impl RowWalk {
+    fn new(shape: &[usize], a: &[usize], b: &[usize]) -> Self {
+        let mut walk = RowWalk { shape: Dims::new(), a: Dims::new(), b: Dims::new() };
+        for ((&dim, &sa), &sb) in shape.iter().zip(a).zip(b) {
+            if dim == 1 {
+                continue;
+            }
+            let r = walk.shape.len();
+            if r > 0 && walk.a[r - 1] == sa * dim && walk.b[r - 1] == sb * dim {
+                walk.shape[r - 1] *= dim;
+                walk.a[r - 1] = sa;
+                walk.b[r - 1] = sb;
+            } else {
+                walk.shape.push(dim);
+                walk.a.push(sa);
+                walk.b.push(sb);
+            }
+        }
+        if walk.shape.is_empty() {
+            // A single element: one run of length 1.
+            walk.shape.push(1);
+            walk.a.push(0);
+            walk.b.push(0);
+        }
+        walk
+    }
+
+    /// The two operands' strides along the innermost (run) axis.
+    fn inner_strides(&self) -> (usize, usize) {
+        let last = self.shape.len() - 1;
+        (self.a[last], self.b[last])
+    }
+
+    /// Calls `run(pos, len, a0, b0)` for every run covering the flat
+    /// row-major range `[start, start + len)`, in order: `pos` is the run's
+    /// flat position, `a0`/`b0` the operands' offsets of its first element.
+    /// The first run may start, and the last end, mid-row.
+    fn for_each_run(&self, start: usize, len: usize, mut run: impl FnMut(usize, usize, usize, usize)) {
+        if len == 0 {
+            return;
+        }
+        let last = self.shape.len() - 1;
+        let mut coords = unravel(start, &self.shape);
+        let mut a0 = ravel(&coords, &self.a);
+        let mut b0 = ravel(&coords, &self.b);
+        let (mut pos, end) = (start, start + len);
+        loop {
+            let n = (self.shape[last] - coords[last]).min(end - pos);
+            run(pos, n, a0, b0);
+            pos += n;
+            if pos == end {
+                return;
+            }
+            // The row is finished: rewind to its start, then increment the
+            // outer coordinates, keeping `a0`/`b0` equal to their raveled
+            // offsets. Elements remain, so some outer axis can advance.
+            a0 -= coords[last] * self.a[last];
+            b0 -= coords[last] * self.b[last];
+            coords[last] = 0;
+            let mut ax = last;
+            loop {
+                ax -= 1;
+                coords[ax] += 1;
+                a0 += self.a[ax];
+                b0 += self.b[ax];
+                if coords[ax] < self.shape[ax] {
+                    break;
+                }
+                a0 -= coords[ax] * self.a[ax];
+                b0 -= coords[ax] * self.b[ax];
+                coords[ax] = 0;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use testkit::{prop, prop_assert_eq, TestRng};
 
     fn arr2(rows: &[&[f32]]) -> NdArray {
         let r = rows.len();
@@ -1008,6 +1098,156 @@ mod tests {
         for threads in [2usize, 4] {
             let par = pool::with_threads(threads, || pool::with_grain(16, run));
             assert_eq!(serial, par, "threads={threads}");
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Row walker vs the per-element coordinate walk it replaced
+    // ------------------------------------------------------------------
+
+    /// Oracle for [`NdArray::zip_map`]: unravels every output index and
+    /// ravels it through each operand's broadcast strides.
+    fn oracle_zip_map(a: &NdArray, b: &NdArray, f: impl Fn(f32, f32) -> f32) -> NdArray {
+        let shape = broadcast_shape(a.shape(), b.shape()).unwrap();
+        let (ls, rs) = (broadcast_strides(a.shape(), &shape), broadcast_strides(b.shape(), &shape));
+        let data = (0..numel(&shape))
+            .map(|i| {
+                let c = unravel(i, &shape);
+                f(a.data()[ravel(&c, &ls)], b.data()[ravel(&c, &rs)])
+            })
+            .collect();
+        NdArray::from_vec(&shape, data).unwrap()
+    }
+
+    /// Oracle for [`NdArray::broadcast_to`].
+    fn oracle_broadcast_to(a: &NdArray, target: &[usize]) -> NdArray {
+        if a.shape() == target {
+            return a.clone();
+        }
+        let strides = broadcast_strides(a.shape(), target);
+        let data = (0..numel(target)).map(|i| a.data()[ravel(&unravel(i, target), &strides)]).collect();
+        NdArray::from_vec(target, data).unwrap()
+    }
+
+    /// Oracle for [`NdArray::reduce_to_shape`]: adds every source element
+    /// into its output slot in source order (same-shape input is returned
+    /// as is, so `-0.0` stays `-0.0`).
+    fn oracle_reduce_to_shape(a: &NdArray, target: &[usize]) -> NdArray {
+        if a.shape() == target {
+            return a.clone();
+        }
+        let strides = broadcast_strides(target, a.shape());
+        let mut out = NdArray::zeros(target);
+        for (i, &v) in a.data().iter().enumerate() {
+            out.data_mut()[ravel(&unravel(i, a.shape()), &strides)] += v;
+        }
+        out
+    }
+
+    /// Bitwise equality, except that any NaN matches any NaN: IEEE 754
+    /// leaves the sign and payload of a NaN result unspecified, and the
+    /// compiler may commute the operands of a vectorized add, which picks
+    /// a different one of two NaN inputs.
+    /// Oracle for [`NdArray::permute`]: output coordinate `k` reads source
+    /// axis `axes[k]`.
+    fn oracle_permute(a: &NdArray, axes: &[usize]) -> NdArray {
+        let shape: Vec<usize> = axes.iter().map(|&k| a.shape()[k]).collect();
+        let src = row_major_strides(a.shape());
+        let strides: Vec<usize> = axes.iter().map(|&k| src[k]).collect();
+        let data = (0..numel(&shape)).map(|i| a.data()[ravel(&unravel(i, &shape), &strides)]).collect();
+        NdArray::from_vec(&shape, data).unwrap()
+    }
+
+    fn assert_bits_eq(got: &NdArray, want: &NdArray, ctx: &str) {
+        assert_eq!(got.shape(), want.shape(), "{ctx}: shape");
+        for (i, (x, y)) in got.data().iter().zip(want.data()).enumerate() {
+            if !(x.is_nan() && y.is_nan()) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: elem {i}: {x} vs {y}");
+            }
+        }
+    }
+
+    /// An output shape of rank 1–5 and two operand shapes that broadcast
+    /// into it. Each operand drops a random number of leading axes and
+    /// collapses random axes to 1, covering interior and leading size-1
+    /// axes, scalars and two-sided broadcasts such as `[B,1,D] ⊕ [1,T,1]`.
+    fn broadcast_case(rng: &mut TestRng) -> (Vec<usize>, Vec<usize>, Vec<usize>) {
+        const DIMS: [usize; 6] = [1, 2, 3, 4, 5, 7];
+        let rank = 1 + rng.below_usize(5);
+        let full: Vec<usize> = (0..rank).map(|_| DIMS[rng.below_usize(DIMS.len())]).collect();
+        let mut operand = || {
+            let lead = rng.below_usize(rank + 1);
+            full[lead..].iter().map(|&d| if rng.below_usize(3) == 0 { 1 } else { d }).collect::<Vec<_>>()
+        };
+        let (a, b) = (operand(), operand());
+        (full, a, b)
+    }
+
+    /// Values spread over seven decades, so that summing them in another
+    /// order rounds differently, mixed with signed zeros, NaN and
+    /// infinities.
+    fn special_array(shape: &[usize], rng: &mut TestRng) -> NdArray {
+        const SPECIAL: [f32; 5] = [0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        NdArray::from_fn(shape, |_| match rng.below_usize(32) {
+            k @ 0..=4 => SPECIAL[k],
+            _ => (rng.uniform_f32() - 0.5) * 10f32.powi(rng.below_usize(7) as i32 - 3),
+        })
+    }
+
+    prop! {
+        #![config(cases = 96)]
+
+        /// `zip_map`, `broadcast_to`, `reduce_to_shape` and `permute` are
+        /// bit-identical to the per-element coordinate walk, at threads
+        /// {1, 2, 4} with a grain small enough that pool chunks start and
+        /// end mid-row.
+        fn row_walker_matches_coordinate_oracle(
+            case in testkit::prop::from_fn(broadcast_case),
+            grain in 1usize..8,
+            seed in 0u64..1_000_000
+        ) {
+            let (full, sa, sb) = case;
+            let mut rng = TestRng::new(seed);
+            let (a, b) = (special_array(&sa, &mut rng), special_array(&sb, &mut rng));
+            let big = special_array(&full, &mut rng);
+            let axes = rng.permutation(full.len());
+            let ops: [fn(f32, f32) -> f32; 3] = [|x, y| x + y, |x, y| x - 2.0 * y, |x, y| x * y / (y - x)];
+            for threads in [1usize, 2, 4] {
+                pool::with_threads(threads, || pool::with_grain(grain, || {
+                    let ctx = format!("{sa:?} ⊕ {sb:?} -> {full:?}, threads {threads}, grain {grain}");
+                    let check = |got: NdArray, want: NdArray, what: &str| {
+                        assert_bits_eq(&got, &want, &format!("{what} {ctx}"))
+                    };
+                    for op in ops {
+                        check(a.zip_map(&b, op).unwrap(), oracle_zip_map(&a, &b, op), "zip_map");
+                    }
+                    check(a.broadcast_to(&full).unwrap(), oracle_broadcast_to(&a, &full), "broadcast_to");
+                    check(big.reduce_to_shape(&sb), oracle_reduce_to_shape(&big, &sb), "reduce_to_shape");
+                    check(big.permute(&axes), oracle_permute(&big, &axes), &format!("permute {axes:?}"));
+                }));
+            }
+            prop_assert_eq!(a.broadcast_to(&full).unwrap().shape(), full.as_slice());
+        }
+    }
+
+    #[test]
+    fn row_walker_fig4_geometry_matches_oracle() {
+        // The layers the walker exists for: a bias add, its gradient, and
+        // LayerNorm's row-statistic broadcast, at [32, 33, 32].
+        let mut rng = TestRng::new(4);
+        let x = special_array(&[32, 33, 32], &mut rng);
+        let bias = special_array(&[32], &mut rng);
+        let stat = special_array(&[32, 33, 1], &mut rng);
+        for threads in [1usize, 2, 4] {
+            pool::with_threads(threads, || {
+                pool::with_grain(100, || {
+                    assert_bits_eq(&x.add(&bias), &oracle_zip_map(&x, &bias, |a, b| a + b), "bias add");
+                    assert_bits_eq(&x.sub(&stat), &oracle_zip_map(&x, &stat, |a, b| a - b), "row stat");
+                    assert_bits_eq(&x.reduce_to_shape(&[32]), &oracle_reduce_to_shape(&x, &[32]), "bias grad");
+                    let row_sum = oracle_reduce_to_shape(&x, &[32, 33, 1]);
+                    assert_bits_eq(&x.reduce_to_shape(&[32, 33, 1]), &row_sum, "row sum");
+                })
+            });
         }
     }
 }

@@ -37,6 +37,9 @@
 //!   left-to-right `f32::max` fold from `NEG_INFINITY`, `exp` in ascending
 //!   `j`, left-to-right sum from `0.0`, divide in ascending `j`. Rows never
 //!   split across chunks, so the reduction order is blocking-invariant.
+//!   A causal row skips its masked tail's max, `exp` and sum steps when
+//!   every tail score sits more than 120 below the row maximum: each skipped
+//!   step would leave the bits unchanged (see `finish_rows_exact`).
 //! * **Output.** The composed `matmul` packs each entry's `V` with
 //!   [`pack_b_panels`] and runs the identical microkernel over the
 //!   probability rows; the fused kernel feeds it the same probability bits
@@ -84,6 +87,10 @@ use testkit::pool;
 /// constant `nn::attention::causal_mask` and the serving plan bake into
 /// their materialized masks.
 const MASK_NEG: f32 = -1e9;
+
+/// Below this, `f32::exp` returns +0.0: e^-120 ≈ 7.7e-53 is far under half
+/// the smallest subnormal (≈ 7.0e-46), so it rounds to zero.
+const EXP_UNDERFLOW: f32 = -120.0;
 
 thread_local! {
     /// When set, tape-level consumers build the composed score graph
@@ -162,12 +169,29 @@ fn finish_rows_exact(
                 *x = *x + if j > i { MASK_NEG } else { 0.0 };
             }
         }
-        // softmax_lastdim's row body, verbatim.
-        let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        for x in row.iter_mut() {
+        // softmax_lastdim's row body, except that a causal row's masked
+        // tail skips its work when every tail `exp` provably returns +0.0.
+        // If each tail `x` has `x - m < EXP_UNDERFLOW` for the head's
+        // maximum `m`, each is below `m` (NaN fails the test), so the
+        // full-row fold still ends at `m`; each tail `exp(x - m)` is +0.0;
+        // and adding +0.0 leaves the head's sum unchanged (it holds
+        // `exp(m - m) = 1`, or NaN when `m` is infinite).
+        let (head, tail) = row.split_at_mut(if causal { (i + 1).min(t) } else { t });
+        let m = head.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let tail_underflows = tail.iter().all(|&x| x - m < EXP_UNDERFLOW);
+        let m = if tail_underflows { m } else { tail.iter().copied().fold(m, f32::max) };
+        for x in head.iter_mut() {
             *x = (*x - m).exp();
         }
-        let s: f32 = row.iter().sum();
+        let s: f32 = if tail_underflows {
+            tail.fill(0.0);
+            head.iter().sum()
+        } else {
+            for x in tail.iter_mut() {
+                *x = (*x - m).exp();
+            }
+            row.iter().sum()
+        };
         for x in row.iter_mut() {
             *x /= s;
         }
@@ -697,6 +721,37 @@ mod tests {
     fn drop_mask_for(rng: &mut Prng, bh: usize, t: usize, p: f32) -> NdArray {
         let keep = 1.0 - p;
         NdArray::from_fn(&[bh, t, t], |_| if rng.bernoulli(keep) { 1.0 / keep } else { 0.0 })
+    }
+
+    /// Causal rows skip their masked tail only when every tail `exp`
+    /// provably underflows. A future key that is huge, infinite or NaN
+    /// defeats the proof, and the row must fall back to the full schedule
+    /// (equal bits; any NaN matches any NaN, whose payload IEEE 754 leaves
+    /// open).
+    #[test]
+    fn causal_tail_skip_falls_back_on_huge_and_non_finite_keys() {
+        let same = |a: &NdArray, b: &NdArray, what: &str| {
+            for (i, (x, y)) in a.data().iter().zip(b.data()).enumerate() {
+                assert!(x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()), "{what} {i}: {x} vs {y}");
+            }
+        };
+        let (bh, t, dh) = (2, 9, 4);
+        for (row, value) in [(7, 1e12f32), (5, f32::NAN), (6, f32::INFINITY), (4, f32::NEG_INFINITY)] {
+            let mut rng = Prng::new(11);
+            let q = rng.randn(&[bh, t, dh]);
+            let mut k = rng.randn(&[bh, t, dh]);
+            let v = rng.randn(&[bh, t, dh]);
+            let g = rng.randn(&[bh, t, dh]);
+            k.data_mut()[row * dh] = value;
+            let scale = 0.5;
+            let want = attention_reference(&q, &k, &v, scale, true, None).unwrap();
+            same(&attention_fused(&q, &k, &v, scale, true, None).unwrap(), &want, &format!("forward {value}"));
+            let (wq, wk, wv) = reference_backward(&q, &k, &v, &g, scale, true, None);
+            let (dq, dk, dv) = attention_fused_backward(&q, &k, &v, &g, scale, true, None).unwrap();
+            for (got, want, what) in [(&dq, &wq, "dq"), (&dk, &wk, "dk"), (&dv, &wv, "dv")] {
+                same(got, want, &format!("{what} {value}"));
+            }
+        }
     }
 
     prop! {

@@ -33,8 +33,20 @@ const MAX_BUCKET: usize = 27;
 /// or the overflow is freed at graph teardown and re-allocated every step.
 const MAX_PER_BUCKET: usize = 2048;
 
+/// One size class: its free blocks, and how many blocks the pool has
+/// allocated for it. That count is the class's demand high-water mark and
+/// caps how many blocks it keeps: blocks that were never the pool's own
+/// (wrapped with [`Buffer::from_vec`]) refill the class up to it, but
+/// cannot grow it — otherwise a loop that wraps a fresh `Vec` every step
+/// would bank one more block per step until the cap above.
+#[derive(Default)]
+struct Bucket {
+    free: Vec<Vec<f32>>,
+    allocated: usize,
+}
+
 struct Pool {
-    buckets: Vec<Vec<Vec<f32>>>,
+    buckets: Vec<Bucket>,
     recycled: u64,
     misses: u64,
 }
@@ -49,42 +61,49 @@ impl Pool {
         len.max(1).next_power_of_two().trailing_zeros() as usize
     }
 
+    fn bucket(&mut self, idx: usize) -> &mut Bucket {
+        if self.buckets.len() <= idx {
+            self.buckets.resize_with(idx + 1, Bucket::default);
+        }
+        &mut self.buckets[idx]
+    }
+
     /// Pops a recycled vector with capacity >= len, or allocates one with
     /// the bucket's power-of-two capacity.
     fn take(&mut self, len: usize) -> Vec<f32> {
         let idx = Self::bucket_index(len);
-        if idx <= MAX_BUCKET {
-            if let Some(v) = self.buckets.get_mut(idx).and_then(Vec::pop) {
-                self.recycled += 1;
-                return v;
-            }
+        if idx > MAX_BUCKET {
             self.misses += 1;
-            return Vec::with_capacity(1usize << idx);
+            return Vec::with_capacity(len);
         }
-        self.misses += 1;
-        Vec::with_capacity(len)
+        let bucket = self.bucket(idx);
+        match bucket.free.pop() {
+            Some(v) => {
+                self.recycled += 1;
+                v
+            }
+            None => {
+                bucket.allocated += 1;
+                self.misses += 1;
+                Vec::with_capacity(1usize << idx)
+            }
+        }
     }
 
     fn recycle(&mut self, v: Vec<f32>) {
         let cap = v.capacity();
-        if cap == 0 {
-            return;
-        }
         // Only pool exact power-of-two capacities so `take` can rely on
         // bucket i ⇒ capacity >= 1 << i.
-        if !cap.is_power_of_two() {
+        if cap == 0 || !cap.is_power_of_two() {
             return;
         }
         let idx = cap.trailing_zeros() as usize;
         if idx > MAX_BUCKET {
             return;
         }
-        if self.buckets.len() <= idx {
-            self.buckets.resize_with(idx + 1, Vec::new);
-        }
-        let bucket = &mut self.buckets[idx];
-        if bucket.len() < MAX_PER_BUCKET {
-            bucket.push(v);
+        let bucket = self.bucket(idx);
+        if bucket.free.len() < bucket.allocated.min(MAX_PER_BUCKET) {
+            bucket.free.push(v);
         }
     }
 
@@ -305,6 +324,28 @@ mod tests {
         b[2] = 9.0;
         let v = b.into_vec();
         assert_eq!(v, vec![0.0, 0.0, 9.0, 0.0]);
+    }
+
+    #[test]
+    fn foreign_blocks_refill_but_never_grow_a_bucket() {
+        clear();
+        drop(Buffer::zeroed(64)); // the pool's own block: bucket 6 keeps 1
+        for _ in 0..10 {
+            drop(Buffer::from_vec(Vec::with_capacity(64)));
+        }
+        let (r0, m0) = stats();
+        let a = Buffer::zeroed(64);
+        let b = Buffer::zeroed(64);
+        let (r1, m1) = stats();
+        assert_eq!((r1 - r0, m1 - m0), (1, 1), "bucket held more than its own demand");
+        // Foreign blocks do stand in for own blocks that went missing.
+        drop(a.into_vec());
+        drop(b);
+        drop(Buffer::from_vec(Vec::with_capacity(64)));
+        let (r2, m2) = stats();
+        let _held = (Buffer::zeroed(64), Buffer::zeroed(64));
+        let (r3, m3) = stats();
+        assert_eq!((r3 - r2, m3 - m2), (2, 0));
     }
 
     #[test]

@@ -26,6 +26,11 @@ use crate::init::Prng;
 use crate::matmul::{matmul, matmul_nt, matmul_tn, matmul_tn_fold};
 use crate::shape::Dims;
 
+/// `sqrt(2/pi)`, the GELU tanh-approximation scale.
+const GELU_C: f32 = 0.797_884_6;
+/// The GELU tanh-approximation cubic coefficient.
+const GELU_A: f32 = 0.044_715;
+
 static NEXT_ID: AtomicU64 = AtomicU64::new(0);
 
 /// The backward rule of a graph node. Built-in ops store their saved
@@ -50,7 +55,7 @@ enum Backward {
     Relu,
     Sigmoid { s: NdArray },
     Tanh { t: NdArray },
-    Gelu,
+    Gelu { t: NdArray },
     Matmul { ls: Dims, rs: Dims },
     MatmulNT { ls: Dims, rs: Dims },
     MatmulTN { ls: Dims, rs: Dims },
@@ -193,14 +198,13 @@ impl Backward {
                 Grads::one(g.mul(&s.zip_map(s, |a, _| a * (1.0 - a)).expect("sigmoid grad")))
             }
             Backward::Tanh { t } => Grads::one(g.mul(&t.map(|v| 1.0 - v * v))),
-            Backward::Gelu => {
-                const C: f32 = 0.797_884_6; // sqrt(2/pi)
-                const A: f32 = 0.044_715;
-                let dx = parent(0).map(|v| {
-                    let u = C * (v + A * v * v * v);
-                    let t = u.tanh();
-                    0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * C * (1.0 + 3.0 * A * v * v)
-                });
+            Backward::Gelu { t } => {
+                // `t = tanh(C·(v + A·v³))` was saved by the forward pass.
+                let dx = parent(0)
+                    .zip_map(t, |v, t| {
+                        0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * GELU_C * (1.0 + 3.0 * GELU_A * v * v)
+                    })
+                    .expect("gelu grad");
                 Grads::one(g.mul(&dx))
             }
             Backward::Matmul { ls, rs } => {
@@ -301,7 +305,7 @@ impl Backward {
             Backward::Softmax { s, last } => {
                 let gs = g.mul(s);
                 let dot = gs.sum_axis(*last, true);
-                Grads::one(s.mul(&g.sub(&dot.broadcast_to(g.shape()).expect("softmax grad"))))
+                Grads::one(s.mul(&g.sub(&dot)))
             }
             Backward::CrossEntropy { probs, targets } => {
                 let n = probs.shape()[0];
@@ -620,13 +624,13 @@ impl Var {
 
     /// Gaussian error linear unit (tanh approximation, as in BERT/PatchTST).
     pub fn gelu(&self) -> Var {
-        const C: f32 = 0.797_884_6; // sqrt(2/pi)
-        const A: f32 = 0.044_715;
-        let out = self.value().map(|v| {
-            let u = C * (v + A * v * v * v);
-            0.5 * v * (1.0 + u.tanh())
-        });
-        Var::op(out, Parents::one(self.clone()), Backward::Gelu)
+        let (t, out) = {
+            let v = self.value();
+            let t = v.map(|v| (GELU_C * (v + GELU_A * v * v * v)).tanh());
+            let out = v.zip_map(&t, |v, t| 0.5 * v * (1.0 + t)).expect("gelu: same shape");
+            (t, out)
+        };
+        Var::op(out, Parents::one(self.clone()), Backward::Gelu { t })
     }
 
     // ------------------------------------------------------------------
