@@ -5,7 +5,7 @@
 //! Writes `BENCH_serve.json` at the repository root (override with
 //! `TIMEDRL_BENCH_OUT`): per-batch p50/p95 latency, derived
 //! embeddings/sec, and steady-state `allocs_per_request` — the metric
-//! `ci.sh` gates to zero via the `serve_probe` binary.
+//! `ci.sh` gates to zero via `probe serve check`.
 
 use testkit::alloc::count_allocations;
 use testkit::{Bench, Json};

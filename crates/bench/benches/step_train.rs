@@ -7,7 +7,7 @@
 //! repository root (override with `TIMEDRL_BENCH_OUT`). Alongside the
 //! usual median/min/p95 seconds it records `allocs_per_step`, measured at
 //! steady state (after warm-up steps, so every pool bucket is populated) —
-//! the same metric `ci.sh` gates via the `step_alloc_probe` binary. The
+//! the same metric `ci.sh` gates via `probe step_alloc`. The
 //! Fig. 4-shape elementwise layer rows (`fig4_layers`) ride along.
 
 use testkit::{Bench, Json};

@@ -8,7 +8,7 @@
 //! largest window and *grows* with the window, since the engine's
 //! between-hop tick cost is O(C) while the naive path re-runs the
 //! transformer on every tick — and steady-state allocations per tick,
-//! gated to zero by `ci.sh` via the `stream_probe` binary.
+//! gated to zero by `ci.sh` via `probe stream`.
 
 use testkit::alloc::count_allocations;
 use testkit::{Bench, Json};

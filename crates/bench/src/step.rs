@@ -2,15 +2,37 @@
 //! hot path the buffer-pool and microkernel work targets (DESIGN.md §10).
 //!
 //! Both the `step_train` bench (wall-clock + allocations → BENCH_step.json)
-//! and the `step_alloc_probe` binary (the `ci.sh` allocation-regression
-//! gate) drive the same `StepHarness`, so the number CI gates on is the
-//! number the bench reports.
+//! and `probe step_alloc` (the `ci.sh` allocation-regression gate) drive
+//! the same `StepHarness`, so the number CI gates on is the number the
+//! bench reports.
 
 use testkit::bench::BenchReport;
 use testkit::Bench;
 use timedrl::{gather_rows, pretext_loss, train_step, TimeDrl, TimeDrlConfig};
 use timedrl_nn::{AdamW, Ctx, LayerNorm, Module, Optimizer};
 use timedrl_tensor::{NdArray, Prng, Var};
+
+/// The compact CI-probe forecasting model (T=32, one channel, d16, batch 8)
+/// that the step harness and the `probe` pretraining gates train; callers
+/// set epochs and checkpointing.
+pub fn probe_config(seed: u64) -> TimeDrlConfig {
+    let mut cfg = TimeDrlConfig::forecasting(32);
+    cfg.d_model = 16;
+    cfg.d_ff = 32;
+    cfg.n_heads = 2;
+    cfg.batch_size = 8;
+    cfg.seed = seed;
+    cfg
+}
+
+/// Sixteen pure-sinusoid windows `[16, 32, 1]` for [`probe_config`]: no RNG
+/// involved, so every process trains on identical data.
+pub fn sine_windows() -> NdArray {
+    NdArray::from_fn(&[16, 32, 1], |flat| {
+        let (i, step) = (flat / 32, flat % 32);
+        (step as f32 * 0.4 + i as f32 * 0.3).sin()
+    })
+}
 
 /// A live whole-batch training step: [`timedrl::train_step`], the step
 /// `timedrl::pretrain` runs when `micro_batch` is `None` (zero_grad →
@@ -25,22 +47,13 @@ pub struct StepHarness {
 
 impl StepHarness {
     /// Builds the harness at the CI-probe scale: the same compact
-    /// forecasting model `pretrain_checkpoint` trains, with one
+    /// forecasting model `probe pretrain_checkpoint` trains, with one
     /// pre-gathered batch of sinusoid windows.
     pub fn new() -> Self {
-        let mut cfg = TimeDrlConfig::forecasting(32);
-        cfg.d_model = 16;
-        cfg.d_ff = 32;
-        cfg.n_heads = 2;
-        cfg.batch_size = 8;
-        cfg.seed = 42;
+        let cfg = probe_config(42);
         let model = TimeDrl::new(cfg.clone());
         let opt = AdamW::new(model.parameters(), cfg.lr, cfg.weight_decay);
-        let windows = NdArray::from_fn(&[16, 32, 1], |flat| {
-            let (i, step) = (flat / 32, flat % 32);
-            (step as f32 * 0.4 + i as f32 * 0.3).sin()
-        });
-        let batch = gather_rows(&windows, &(0..cfg.batch_size).collect::<Vec<_>>());
+        let batch = gather_rows(&sine_windows(), &(0..cfg.batch_size).collect::<Vec<_>>());
         Self {
             model,
             opt,

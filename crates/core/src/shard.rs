@@ -318,7 +318,7 @@ pub fn run_shard_worker(cfg: &TimeDrlConfig, plan: &ShardTrainPlan) -> Result<Pr
 
 /// [`run_shard_worker`] with a hook invoked at the start of every
 /// optimizer step this worker participates in — the crash-harness seam
-/// (`shard_probe` aborts the process mid-run from it) and a progress
+/// (`probe shard` aborts the process mid-run from it) and a progress
 /// callback for long runs.
 pub fn run_shard_worker_with(
     cfg: &TimeDrlConfig,

@@ -226,45 +226,6 @@ fn checkpoint_roundtrip_preserves_behaviour() {
 }
 
 #[test]
-fn transpose_aware_backward_trains_identical_bits() {
-    // The §10/§12 contract, end to end: a short pre-training run through
-    // the transpose-aware gradient kernels must produce a byte-identical
-    // checkpoint to the same run with every transposed operand explicitly
-    // materialized first. The materialize hook is thread-local, so both
-    // legs run the pool serially to keep the flag visible everywhere.
-    let run = |materialized: bool| -> Vec<u8> {
-        testkit::pool::with_threads(1, || {
-            let train = || {
-                let mut cfg = tiny_cfg(32);
-                cfg.epochs = 2;
-                let model = TimeDrl::new(cfg);
-                pretrain(&model, &sine_windows(24, 32, 11)).unwrap();
-                let dir = std::env::temp_dir().join(format!(
-                    "timedrl_integration_tnbits_{}",
-                    if materialized { "mat" } else { "fast" }
-                ));
-                std::fs::create_dir_all(&dir).unwrap();
-                let path = dir.join("model.tdrl");
-                model.save(&path).unwrap();
-                let bytes = std::fs::read(&path).unwrap();
-                std::fs::remove_dir_all(&dir).ok();
-                bytes
-            };
-            if materialized {
-                timedrl_tensor::with_materialized_transposes(train)
-            } else {
-                train()
-            }
-        })
-    };
-    assert_eq!(
-        run(false),
-        run(true),
-        "strided-packing backward must train bit-identically to materialize-then-multiply"
-    );
-}
-
-#[test]
 fn checkpoint_rejects_mismatched_architecture() {
     let model = TimeDrl::new(tiny_cfg(32));
     let dir = std::env::temp_dir().join("timedrl_integration_ckpt2");

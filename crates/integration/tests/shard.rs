@@ -215,7 +215,7 @@ fn run_workers(shards: &PathBuf, run_dir: &PathBuf, n: usize) -> Vec<f32> {
     };
     // Followers on OS threads, coordinator on this one: the protocol only
     // ever touches the filesystem, so in-process threads exercise the same
-    // code path the `shard_probe` binary drives across real processes.
+    // code path `probe shard` drives across real processes.
     let handles: Vec<_> = (1..n)
         .map(|w| {
             let cfg = cfg.clone();
@@ -233,7 +233,7 @@ fn run_workers(shards: &PathBuf, run_dir: &PathBuf, n: usize) -> Vec<f32> {
 /// The process-invariance property at the library level: 1-, 2-, and
 /// 3-worker runs produce byte-identical final checkpoints and identical
 /// loss histories. (ci.sh re-proves this across real OS processes with
-/// `shard_probe`, including kill-and-resume.)
+/// `probe shard`, including kill-and-resume.)
 #[test]
 fn multi_worker_pretraining_matches_single_worker_byte_for_byte() {
     let dir = tmp("workers");

@@ -2,8 +2,7 @@
 
 use crate::linear::Linear;
 use crate::module::{Ctx, Module};
-use std::cell::RefCell;
-use timedrl_tensor::{composed_attention_forced, NdArray, Prng, Var};
+use timedrl_tensor::{NdArray, Prng, Var};
 
 /// Multi-head self-attention over `[B, T, D]` sequences.
 ///
@@ -12,12 +11,11 @@ use timedrl_tensor::{composed_attention_forced, NdArray, Prng, Var};
 /// each position attends only to itself and earlier positions, giving the
 /// Transformer *decoder* variant of the Table VIII encoder ablation.
 ///
-/// The hot path runs through the fused tiled attention node
-/// ([`Var::attention`], DESIGN.md §17): no `[B·H, T, T]` score tensor is
-/// materialized forward or backward, bit-identical to the composed graph.
-/// The composed graph is kept for `forward_with_weights` (which needs the
-/// probability tensor by definition) and for the
-/// `with_composed_attention` proof hook.
+/// Attention runs through the fused tiled node ([`Var::attention`],
+/// DESIGN.md §17): no `[B·H, T, T]` score tensor is materialized forward or
+/// backward, and values and gradients are bit-identical to the composed
+/// `matmul_t → scale → mask → softmax → dropout → matmul` graph (tested
+/// against that graph below).
 pub struct MultiHeadAttention {
     wq: Linear,
     wk: Linear,
@@ -27,10 +25,6 @@ pub struct MultiHeadAttention {
     head_dim: usize,
     causal: bool,
     attn_dropout: f32,
-    /// Cached additive causal mask for the composed path, rebuilt only
-    /// when the sequence length changes (`RefCell`: models are per-thread
-    /// — data-parallel replicas are constructed inside their worker).
-    mask_cache: RefCell<Option<NdArray>>,
 }
 
 impl MultiHeadAttention {
@@ -46,92 +40,76 @@ impl MultiHeadAttention {
             head_dim: d_model / n_heads,
             causal,
             attn_dropout: dropout,
-            mask_cache: RefCell::new(None),
         }
     }
 
-    /// Splits `[B, T, D]` into `[B*H, T, Dh]` per-head batches.
-    fn split_heads(&self, x: &Var, b: usize, t: usize) -> Var {
-        x.reshape(&[b, t, self.n_heads, self.head_dim])
+    /// Projects `[B, T, D]` input to the per-head `q`, `k`, `v` batches
+    /// `[B*H, T, Dh]`, returning them with `(B, T)`.
+    fn project(&self, x: &Var) -> ([Var; 3], usize, usize) {
+        let shape = x.shape();
+        assert_eq!(shape.len(), 3, "attention expects [B, T, D]");
+        let (b, t) = (shape[0], shape[1]);
+        let split = |y: Var| {
+            y.reshape(&[b, t, self.n_heads, self.head_dim])
+                .permute(&[0, 2, 1, 3])
+                .reshape(&[b * self.n_heads, t, self.head_dim])
+        };
+        let qkv = [split(self.wq.forward(x)), split(self.wk.forward(x)), split(self.wv.forward(x))];
+        (qkv, b, t)
+    }
+
+    /// Merges `[B*H, T, Dh]` heads back to `[B, T, D]` and applies the
+    /// output projection.
+    fn merge(&self, heads: &Var, b: usize, t: usize) -> Var {
+        let out = heads
+            .reshape(&[b, self.n_heads, t, self.head_dim])
             .permute(&[0, 2, 1, 3])
-            .reshape(&[b * self.n_heads, t, self.head_dim])
+            .reshape(&[b, t, self.n_heads * self.head_dim]);
+        self.wo.forward(&out)
     }
 
-    /// The additive causal mask for sequence length `t`, cached across
-    /// `attend` calls instead of rebuilt per call (the serving plan
-    /// precomputes its mask the same way).
-    fn cached_mask(&self, t: usize) -> NdArray {
-        let mut cache = self.mask_cache.borrow_mut();
-        if cache.as_ref().is_none_or(|m| m.shape()[0] != t) {
-            *cache = Some(causal_mask(t));
-        }
-        cache.as_ref().expect("mask just built").clone()
+    fn scale(&self) -> f32 {
+        1.0 / (self.head_dim as f32).sqrt()
     }
 
     /// Applies self-attention; input and output are `[B, T, D]`.
+    ///
+    /// In training with attention dropout, the keep mask is drawn here in
+    /// exactly the order [`Var::dropout`] would draw it over the
+    /// probabilities, so the RNG stream, and with it every training bit,
+    /// matches the composed graph.
     pub fn forward(&self, x: &Var, ctx: &mut Ctx) -> Var {
-        self.attend(x, ctx, false).0
+        let ([q, k, v], b, t) = self.project(x);
+        let drop_mask = (self.attn_dropout > 0.0 && ctx.training).then(|| {
+            let keep = 1.0 - self.attn_dropout;
+            NdArray::from_fn(&[b * self.n_heads, t, t], |_| {
+                if ctx.rng.bernoulli(keep) {
+                    1.0 / keep
+                } else {
+                    0.0
+                }
+            })
+        });
+        self.merge(&Var::attention(&q, &k, &v, self.scale(), self.causal, drop_mask), b, t)
     }
 
-    /// Applies self-attention and also returns the post-softmax attention
-    /// probabilities `[B, H, T, T]` (pre-dropout) for interpretability —
-    /// e.g. inspecting what the `[CLS]` token attends to.
-    pub fn forward_with_weights(&self, x: &Var, ctx: &mut Ctx) -> (Var, Var) {
-        let (out, weights) = self.attend(x, ctx, true);
-        (out, weights.expect("weights requested"))
-    }
-
-    /// Shared attention core. When the probability tensor is not requested
-    /// the fused node runs — the `[B·H, T, T]` scores never exist — with
-    /// the dropout mask (training only) drawn here in exactly the order
-    /// [`Var::dropout`] would draw it, so the RNG stream and therefore all
-    /// training bits are unchanged from the composed path.
-    fn attend(&self, x: &Var, ctx: &mut Ctx, want_weights: bool) -> (Var, Option<Var>) {
-        let shape = x.shape();
-        assert_eq!(shape.len(), 3, "attention expects [B, T, D]");
-        let (b, t, d) = (shape[0], shape[1], shape[2]);
-
-        let q = self.split_heads(&self.wq.forward(x), b, t);
-        let k = self.split_heads(&self.wk.forward(x), b, t);
-        let v = self.split_heads(&self.wv.forward(x), b, t);
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
-
-        if !want_weights && !composed_attention_forced() {
-            let drop_mask = (self.attn_dropout > 0.0 && ctx.training).then(|| {
-                let keep = 1.0 - self.attn_dropout;
-                NdArray::from_fn(&[b * self.n_heads, t, t], |_| {
-                    if ctx.rng.bernoulli(keep) {
-                        1.0 / keep
-                    } else {
-                        0.0
-                    }
-                })
-            });
-            let out = Var::attention(&q, &k, &v, scale, self.causal, drop_mask)
-                .reshape(&[b, self.n_heads, t, self.head_dim])
-                .permute(&[0, 2, 1, 3])
-                .reshape(&[b, t, d]);
-            return (self.wo.forward(&out), None);
-        }
-
-        // Composed path: materializes [B*H, T, T] probabilities — needed
-        // when the caller wants them, or under the proof hook.
-        let mut scores = q.matmul_t(&k).scale(scale);
+    /// Test oracle: the composed graph [`MultiHeadAttention::forward`]
+    /// replaced, materializing `[B*H, T, T]` scores. Returns the output
+    /// and the pre-dropout probabilities `[B, H, T, T]`.
+    #[cfg(test)]
+    fn composed_forward(&self, x: &Var, ctx: &mut Ctx) -> (Var, Var) {
+        let ([q, k, v], b, t) = self.project(x);
+        let mut scores = q.matmul_t(&k).scale(self.scale());
         if self.causal {
-            scores = scores.add(&Var::constant(self.cached_mask(t)));
+            let mask = NdArray::from_fn(&[t, t], |f| if f % t > f / t { -1e9 } else { 0.0 });
+            scores = scores.add(&Var::constant(mask));
         }
         let probs = scores.softmax_lastdim();
-        let weights = want_weights.then(|| probs.reshape(&[b, self.n_heads, t, t]));
-        let mut attn = probs;
+        let mut attn = probs.clone();
         if self.attn_dropout > 0.0 {
             attn = attn.dropout(self.attn_dropout, ctx.training, &mut ctx.rng);
         }
-        let out = attn
-            .matmul(&v)
-            .reshape(&[b, self.n_heads, t, self.head_dim])
-            .permute(&[0, 2, 1, 3])
-            .reshape(&[b, t, d]);
-        (self.wo.forward(&out), weights)
+        (self.merge(&attn.matmul(&v), b, t), probs.reshape(&[b, self.n_heads, t, t]))
     }
 
     /// Whether this layer applies a causal mask.
@@ -149,19 +127,6 @@ impl Module for MultiHeadAttention {
     }
 }
 
-/// Additive causal mask: 0 on and below the diagonal, a large negative
-/// number above it (softmax maps those positions to ~0 probability).
-fn causal_mask(t: usize) -> NdArray {
-    NdArray::from_fn(&[t, t], |flat| {
-        let (i, j) = (flat / t, flat % t);
-        if j > i {
-            -1e9
-        } else {
-            0.0
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,18 +141,22 @@ mod tests {
 
     #[test]
     fn attention_rows_are_probabilities() {
-        // Reconstruct the internal softmax on a known path: uniform input
-        // must produce uniform attention rows.
-        let mask = causal_mask(4);
-        let probs = mask.softmax_lastdim();
-        for (i, row) in probs.data().chunks(4).enumerate() {
-            let total: f32 = row.iter().sum();
-            assert!((total - 1.0).abs() < 1e-5);
-            for (j, &p) in row.iter().enumerate() {
-                if j > i {
-                    assert!(p < 1e-6, "future position leaked");
-                } else {
-                    assert!((p - 1.0 / (i + 1) as f32).abs() < 1e-5);
+        // Identical tokens score every key equally, so each causal row is
+        // uniform over the positions it may see and zero beyond them.
+        let mut rng = Prng::new(4);
+        let attn = MultiHeadAttention::new(8, 2, true, 0.0, &mut rng);
+        let x = Var::constant(NdArray::zeros(&[1, 4, 8]));
+        let (_, w) = attn.composed_forward(&x, &mut Ctx::eval());
+        for row_block in w.to_array().data().chunks(16) {
+            for (i, row) in row_block.chunks(4).enumerate() {
+                let total: f32 = row.iter().sum();
+                assert!((total - 1.0).abs() < 1e-5);
+                for (j, &p) in row.iter().enumerate() {
+                    if j > i {
+                        assert!(p < 1e-6, "future position leaked");
+                    } else {
+                        assert!((p - 1.0 / (i + 1) as f32).abs() < 1e-5);
+                    }
                 }
             }
         }
@@ -255,62 +224,49 @@ mod tests {
         }
     }
 
-    /// The fused forward must reproduce the composed path bit for bit —
-    /// value and every projection gradient — in eval mode and in training
-    /// with live attention dropout (same RNG stream), causal and
+    /// The fused forward must reproduce the composed graph bit for bit —
+    /// value and every projection gradient — in eval and in training, with
+    /// and without live attention dropout (same RNG stream), causal and
     /// bidirectional.
     #[test]
     fn fused_path_matches_composed_path_bitwise() {
         for causal in [false, true] {
             for dropout in [0.0f32, 0.25] {
-                let mk = || {
-                    let mut rng = Prng::new(77);
-                    MultiHeadAttention::new(8, 2, causal, dropout, &mut rng)
-                };
-                let mut rng = Prng::new(78);
-                let x0 = rng.randn(&[2, 6, 8]);
-                let run = |attn: &MultiHeadAttention, composed: bool| {
-                    let body = || {
+                for training in [false, true] {
+                    let mk = || {
+                        let mut rng = Prng::new(77);
+                        MultiHeadAttention::new(8, 2, causal, dropout, &mut rng)
+                    };
+                    let mut rng = Prng::new(78);
+                    let x0 = rng.randn(&[2, 6, 8]);
+                    let run = |attn: &MultiHeadAttention, composed: bool| {
                         let x = Var::constant(x0.clone());
-                        let y = attn.forward(&x, &mut Ctx::train(5));
-                        let loss = y.powf(2.0).sum();
-                        loss.backward();
+                        let mut ctx = if training { Ctx::train(5) } else { Ctx::eval() };
+                        let y = if composed {
+                            attn.composed_forward(&x, &mut ctx).0
+                        } else {
+                            attn.forward(&x, &mut ctx)
+                        };
+                        y.powf(2.0).sum().backward();
                         let grads: Vec<NdArray> =
                             attn.parameters().iter().map(|p| p.grad().unwrap()).collect();
                         (y.to_array(), grads)
                     };
-                    if composed {
-                        timedrl_tensor::with_composed_attention(body)
-                    } else {
-                        body()
+                    let (y_fused, g_fused) = run(&mk(), false);
+                    let (y_comp, g_comp) = run(&mk(), true);
+                    let what = format!("causal={causal} dropout={dropout} training={training}");
+                    assert_bits_eq(&y_fused, &y_comp, &format!("output {what}"));
+                    for (i, (gf, gc)) in g_fused.iter().zip(g_comp.iter()).enumerate() {
+                        assert_bits_eq(gf, gc, &format!("param grad {i} {what}"));
                     }
-                };
-                let a1 = mk();
-                let a2 = mk();
-                let (y_fused, g_fused) = run(&a1, false);
-                let (y_comp, g_comp) = run(&a2, true);
-                let what = format!("causal={causal} dropout={dropout}");
-                assert_bits_eq(&y_fused, &y_comp, &format!("output {what}"));
-                for (i, (gf, gc)) in g_fused.iter().zip(g_comp.iter()).enumerate() {
-                    assert_bits_eq(gf, gc, &format!("param grad {i} {what}"));
                 }
             }
         }
     }
-
-    #[test]
-    fn cached_causal_mask_tracks_sequence_length() {
-        let mut rng = Prng::new(21);
-        let attn = MultiHeadAttention::new(8, 2, true, 0.0, &mut rng);
-        assert_eq!(attn.cached_mask(4), causal_mask(4));
-        // Re-borrowing at the same length returns the cached array...
-        assert_eq!(attn.cached_mask(4), causal_mask(4));
-        // ...and a different length rebuilds.
-        assert_eq!(attn.cached_mask(7), causal_mask(7));
-        assert_eq!(attn.cached_mask(4), causal_mask(4));
-    }
 }
-// (appended tests for the introspection API)
+
+/// The composed oracle's attention probabilities. The fused kernel is
+/// bit-equal to that oracle, so these pin what it computes too.
 #[cfg(test)]
 mod weight_tests {
     use super::*;
@@ -320,7 +276,7 @@ mod weight_tests {
         let mut rng = Prng::new(10);
         let attn = MultiHeadAttention::new(8, 2, false, 0.0, &mut rng);
         let x = Var::constant(rng.randn(&[2, 5, 8]));
-        let (_, w) = attn.forward_with_weights(&x, &mut Ctx::eval());
+        let (_, w) = attn.composed_forward(&x, &mut Ctx::eval());
         assert_eq!(w.shape(), vec![2, 2, 5, 5]);
         let arr = w.to_array();
         for row in arr.data().chunks(5) {
@@ -334,7 +290,7 @@ mod weight_tests {
         let mut rng = Prng::new(11);
         let attn = MultiHeadAttention::new(8, 2, true, 0.0, &mut rng);
         let x = Var::constant(rng.randn(&[1, 4, 8]));
-        let (_, w) = attn.forward_with_weights(&x, &mut Ctx::eval());
+        let (_, w) = attn.composed_forward(&x, &mut Ctx::eval());
         let arr = w.to_array();
         for h in 0..2 {
             for i in 0..4 {
@@ -345,9 +301,9 @@ mod weight_tests {
         }
     }
 
-    /// `forward` takes the fused path, `forward_with_weights` the composed
-    /// one — their outputs must still agree bit for bit (the fused kernel's
-    /// exactness contract), causal and bidirectional.
+    /// `forward` takes the fused path, the weights-returning oracle the
+    /// composed one — their outputs must still agree bit for bit (the fused
+    /// kernel's exactness contract), causal and bidirectional.
     #[test]
     fn forward_and_forward_with_weights_agree() {
         for causal in [false, true] {
@@ -355,7 +311,7 @@ mod weight_tests {
             let attn = MultiHeadAttention::new(8, 2, causal, 0.0, &mut rng);
             let x = Var::constant(rng.randn(&[2, 4, 8]));
             let a = attn.forward(&x, &mut Ctx::eval()).to_array();
-            let (b, _) = attn.forward_with_weights(&x, &mut Ctx::eval());
+            let (b, _) = attn.composed_forward(&x, &mut Ctx::eval());
             let bv = b.to_array();
             assert_eq!(a.shape(), bv.shape());
             for (x1, x2) in a.data().iter().zip(bv.data().iter()) {

@@ -1,16 +1,15 @@
 //! Fused tiled attention (DESIGN.md §17).
 //!
 //! Computes `softmax(Q·Kᵀ·s + mask)·V` without ever materializing the
-//! `[B·H, T, T]` score tensor. The composed path (the seed code, still
-//! reachable via [`attention_reference`] and the tape's introspection
-//! branch) allocates five to six `T²`-sized intermediates per attention
-//! call — raw scores, scaled scores, masked scores, probabilities, dropped
-//! probabilities — and streams each of them through main memory twice. The
-//! fused kernel instead walks the output in [`MR`]-row blocks: each block's
-//! scores live in one pooled `[MR, T]` scratch strip that stays cache-hot
-//! through scale → mask → softmax → dropout → `·V`, so peak attention
-//! scratch is `O(MR·T + T·Dh)` (the packed panels) — linear in `T`, not
-//! quadratic.
+//! `[B·H, T, T]` score tensor. The composed path (the seed code, kept as
+//! the test oracle [`attention_reference`]) allocates five to six
+//! `T²`-sized intermediates per attention call — raw scores, scaled scores,
+//! masked scores, probabilities, dropped probabilities — and streams each
+//! of them through main memory twice. The fused kernel instead walks the
+//! output in [`MR`]-row blocks: each block's scores live in one pooled
+//! `[MR, T]` scratch strip that stays cache-hot through scale → mask →
+//! softmax → dropout → `·V`, so peak attention scratch is
+//! `O(MR·T + T·Dh)` (the packed panels) — linear in `T`, not quadratic.
 //!
 //! # Exact tier: bitwise equality with the composed path
 //!
@@ -69,7 +68,7 @@
 //! order is fixed by the tile walk (ascending `j` in `NR` strides), never
 //! by thread count, so relaxed results are bit-identical across
 //! `TIMEDRL_THREADS` on one host — the tier's contract is ε-closeness to
-//! the exact kernel (gated by `quant_probe`), not specific bits across
+//! the exact kernel (gated by `probe quant`), not specific bits across
 //! ISAs. Hosts without FMA fall back to the exact fused kernel.
 
 use crate::array::NdArray;
@@ -80,45 +79,16 @@ use crate::matmul::{
     matmul_rows_relaxed, pack_b_panels, pack_bt_panels, panel_count, use_packed, MATMUL_GRAIN, MR,
     NR,
 };
-use std::cell::Cell;
 use testkit::pool;
 
-/// The additive mask value for disallowed (future) positions — the same
-/// constant `nn::attention::causal_mask` and the serving plan bake into
-/// their materialized masks.
+/// The additive mask value for disallowed (future) positions, added to
+/// scores above the diagonal exactly as the composed graph's materialized
+/// mask ([`attention_reference`]) adds it.
 const MASK_NEG: f32 = -1e9;
 
 /// Below this, `f32::exp` returns +0.0: e^-120 ≈ 7.7e-53 is far under half
 /// the smallest subnormal (≈ 7.0e-46), so it rounds to zero.
 const EXP_UNDERFLOW: f32 = -120.0;
-
-thread_local! {
-    /// When set, tape-level consumers build the composed score graph
-    /// instead of the fused node (see [`with_composed_attention`]).
-    static COMPOSED_ATTENTION: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Runs `f` with fused attention disabled: `Var`-level consumers that
-/// consult [`composed_attention_forced`] build the materialized
-/// `matmul_t → scale → mask → softmax → matmul` graph instead. Test hook
-/// (pattern of `with_materialized_transposes`) used to prove the fused
-/// node changes no training bits — e.g. byte-comparing pretrain
-/// checkpoints between the two paths.
-pub fn with_composed_attention<R>(f: impl FnOnce() -> R) -> R {
-    struct Restore(bool);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            COMPOSED_ATTENTION.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(COMPOSED_ATTENTION.with(|c| c.replace(true)));
-    f()
-}
-
-/// Whether [`with_composed_attention`] is active on this thread.
-pub fn composed_attention_forced() -> bool {
-    COMPOSED_ATTENTION.with(Cell::get)
-}
 
 /// Validates that `q`, `k`, `v` are rank-3 `[bh, t, dh]` with identical
 /// shapes and returns `(bh, t, dh)`.
@@ -635,7 +605,7 @@ pub fn attention_fused_relaxed(
 /// The composed, materialized score path as one call: `matmul_nt → scale →
 /// (add causal mask) → softmax_lastdim → (mul drop_mask) → matmul`, exactly
 /// the op chain the seed tape executed. Anchors the bitwise property tests,
-/// the `attn_probe` parity/perf gate, and the `attention_naive_256` bench
+/// the `probe attn` parity/perf gate, and the `attention_naive_256` bench
 /// rows.
 ///
 /// # Errors
@@ -861,14 +831,5 @@ mod tests {
         assert!(attention_fused(&bad, &other, &bad, 1.0, false, None).is_err());
         let mask = NdArray::zeros(&[2, 3, 4]);
         assert!(attention_fused(&bad, &bad, &bad, 1.0, false, Some(&mask)).is_err());
-    }
-
-    #[test]
-    fn composed_attention_hook_scopes_to_closure() {
-        assert!(!composed_attention_forced());
-        with_composed_attention(|| {
-            assert!(composed_attention_forced());
-        });
-        assert!(!composed_attention_forced());
     }
 }

@@ -39,14 +39,10 @@ mod var;
 pub use array::NdArray;
 pub use attention::{
     attention_fused, attention_fused_backward, attention_fused_relaxed, attention_reference,
-    composed_attention_forced, with_composed_attention,
 };
 pub use error::{Result, TensorError};
 pub use init::Prng;
-pub use matmul::{
-    matmul, matmul_fma, matmul_nt, matmul_nt_fma, matmul_reference, matmul_tn,
-    with_materialized_transposes,
-};
+pub use matmul::{matmul, matmul_fma, matmul_nt, matmul_nt_fma, matmul_reference, matmul_tn};
 pub use quant::{matmul_q8, quantize_per_channel, QuantizedMatrix};
 pub use serialize::{
     decode_arrays, encode_arrays, load_parameters, read_arrays, read_file, save_parameters,

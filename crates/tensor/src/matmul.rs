@@ -26,7 +26,6 @@
 use crate::array::NdArray;
 use crate::bufpool::Buffer;
 use crate::error::{Result, TensorError};
-use std::cell::Cell;
 use testkit::pool;
 
 /// Work-per-chunk target for the parallel path, in multiply-adds. One grain
@@ -482,37 +481,8 @@ pub fn matmul_reference(a: &NdArray, b: &NdArray) -> Result<NdArray> {
 // contract (same f32 additions, ascending-k order, ±0.0 skip, thread-count
 // invariance) carries over verbatim: `matmul_nt(a, b)` is bit-equal to
 // `matmul(a, &b.transpose())` and `matmul_tn(a, b)` to
-// `matmul(&a.transpose(), b)` — property-tested below and provable on demand
-// via [`with_materialized_transposes`].
+// `matmul(&a.transpose(), b)` — property-tested below.
 // ---------------------------------------------------------------------------
-
-thread_local! {
-    /// Test hook: when set, the `matmul_nt`/`matmul_tn` entry points route
-    /// through explicit `transpose()` + [`matmul`] instead of the strided
-    /// packing paths.
-    static MATERIALIZE_TRANSPOSES: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Runs `f` with the transpose-aware entry points forced through the
-/// materialize-then-[`matmul`] path on *this thread* (run under
-/// `pool::with_threads(1, ..)` to cover work that would otherwise fan out to
-/// workers). Exists so tests can prove the strided-packing fast paths change
-/// no bits: train or compute twice, once inside this closure, and
-/// byte-compare.
-pub fn with_materialized_transposes<R>(f: impl FnOnce() -> R) -> R {
-    struct Restore(bool);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            MATERIALIZE_TRANSPOSES.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(MATERIALIZE_TRANSPOSES.with(|c| c.replace(true)));
-    f()
-}
-
-fn materialize_transposes() -> bool {
-    MATERIALIZE_TRANSPOSES.with(Cell::get)
-}
 
 /// `shape` with its last two axes swapped — the shape the operand *would*
 /// have after `transpose()`, used so `matmul_nt`/`matmul_tn` errors name the
@@ -786,8 +756,7 @@ fn matmul_tn_single(a: &[f32], b: &[f32], out: &mut [f32], kdim: usize, m: usize
 /// * `[bs,m,k] x [n,k] -> [bs,m,n]` (shared right operand, folded GEMM)
 ///
 /// Bit-identical to `matmul(a, &b.transpose())` for every input, including
-/// signed zeros and non-finite values (property-tested;
-/// [`with_materialized_transposes`] forces that equivalent path at runtime).
+/// signed zeros and non-finite values (property-tested).
 ///
 /// # Errors
 /// Returns [`TensorError::MatmulMismatch`] for any other rank combination or
@@ -795,9 +764,6 @@ fn matmul_tn_single(a: &[f32], b: &[f32], out: &mut [f32], kdim: usize, m: usize
 /// right-operand shape, matching what the equivalent [`matmul`] would
 /// report.
 pub fn matmul_nt(a: &NdArray, b: &NdArray) -> Result<NdArray> {
-    if materialize_transposes() && b.rank() >= 2 {
-        return matmul(a, &b.transpose());
-    }
     let err = || TensorError::MatmulMismatch {
         lhs: a.shape().to_vec(),
         rhs: transposed_dims(b.shape()),
@@ -872,17 +838,13 @@ pub fn matmul_nt(a: &NdArray, b: &NdArray) -> Result<NdArray> {
 /// * `[bs,k,m] x [k,n] -> [bs,m,n]` (shared right operand, one packed `b`)
 ///
 /// Bit-identical to `matmul(&a.transpose(), b)` for every input
-/// (property-tested; [`with_materialized_transposes`] forces that
-/// equivalent path at runtime).
+/// (property-tested).
 ///
 /// # Errors
 /// Returns [`TensorError::MatmulMismatch`] for any other rank combination or
 /// inner-dimension disagreement. The error names the *effective* transposed
 /// left-operand shape, matching what the equivalent [`matmul`] would report.
 pub fn matmul_tn(a: &NdArray, b: &NdArray) -> Result<NdArray> {
-    if materialize_transposes() && a.rank() >= 2 {
-        return matmul(&a.transpose(), b);
-    }
     let err = || TensorError::MatmulMismatch {
         lhs: transposed_dims(a.shape()),
         rhs: b.shape().to_vec(),
@@ -963,11 +925,6 @@ pub(crate) fn matmul_tn_fold(a: &NdArray, g: &NdArray) -> Result<NdArray> {
             lhs: vec![k, bs * m],
             rhs: vec![g.shape()[0] * g.shape()[1], n],
         });
-    }
-    if materialize_transposes() {
-        let a2 = a.reshape(&[bs * m, k])?;
-        let g2 = g.reshape(&[bs * m, n])?;
-        return matmul(&a2.transpose(), &g2);
     }
     let mut out = NdArray::zeros(&[k, n]);
     matmul_tn_kernel(a.data(), g.data(), out.data_mut(), bs * m, k, k, n);
@@ -1534,20 +1491,6 @@ mod tests {
         let want = matmul(&a.transpose(), &b).unwrap();
         let got = matmul_tn(&a, &b).unwrap();
         assert_bits_eq(&got, &want, "tn nonfinite");
-    }
-
-    #[test]
-    fn materialize_hook_forces_equivalent_path() {
-        let a = grid_array(&[9, 6], 1);
-        let b = grid_array(&[8, 6], 2);
-        let fast = matmul_nt(&a, &b).unwrap();
-        let slow = with_materialized_transposes(|| matmul_nt(&a, &b).unwrap());
-        assert_bits_eq(&fast, &slow, "hook nt");
-        let at = a.transpose(); // [6, 9]: contraction axis first
-        let bt = b.transpose(); // [6, 8]
-        let fast = matmul_tn(&at, &bt).unwrap();
-        let slow = with_materialized_transposes(|| matmul_tn(&at, &bt).unwrap());
-        assert_bits_eq(&fast, &slow, "hook tn");
     }
 
     prop! {
