@@ -36,6 +36,11 @@ echo "ok: all dependencies are path-only"
 echo "== build (release, offline) =="
 cargo build --release --offline
 
+echo "== benches: compile only =="
+# `cargo test` builds no bench target, so a library API the benches use
+# could disappear without any other step noticing. This runs nothing.
+cargo build --release --offline --benches
+
 echo "== tests (TIMEDRL_THREADS=1) =="
 TIMEDRL_THREADS=1 cargo test --offline -q
 

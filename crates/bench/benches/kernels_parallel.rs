@@ -14,7 +14,7 @@ use testkit::pool;
 use testkit::{Bench, Json};
 use timedrl_nn::Conv1d;
 use timedrl_tensor::{
-    attention_fused, attention_reference, matmul, matmul_fma, matmul_nt, matmul_q8, matmul_tn,
+    attention_fused, attention_reference, matmul, matmul_nt, matmul_q8, matmul_tn,
     quantize_per_channel, Prng, Var,
 };
 
@@ -71,7 +71,7 @@ fn bench_matmul_transposed_threads(b: &mut Bench, records: &mut Vec<Record>) {
     group.finish();
 }
 
-/// The relaxed-exactness serving kernels (DESIGN.md §15) at the same scale
+/// The relaxed-exactness serving kernel (DESIGN.md §15) at the same scale
 /// as `matmul_256` — the acceptance gate compares `matmul_q8_256` t1 against
 /// `matmul_256` t1 (≥2× single-thread inference GEMM throughput). Weights
 /// are quantized *outside* the timed region, matching the serving scenario
@@ -89,15 +89,6 @@ fn bench_relaxed_threads(b: &mut Bench, records: &mut Vec<Record>) {
             pool::with_threads(threads, || matmul_q8(&a, &qb).unwrap())
         });
         record(records, "matmul_q8_256", "256x256x256", threads, report);
-    }
-    group.finish();
-
-    let mut group = b.group("matmul_fma_256");
-    for &threads in &THREAD_COUNTS {
-        let report = group.bench(format!("t{threads}"), || {
-            pool::with_threads(threads, || matmul_fma(&a, &bm).unwrap())
-        });
-        record(records, "matmul_fma_256", "256x256x256", threads, report);
     }
     group.finish();
 }
@@ -180,9 +171,9 @@ fn out_path() -> std::path::PathBuf {
 }
 
 /// Detected SIMD features, recorded in the baseline so cross-host numbers
-/// are interpretable: `matmul_fma_256` silently falls back to the exact
-/// kernel without `fma`, and `matmul_q8_256` to its scalar core without
-/// `avx2` — a reader comparing hosts needs to know which kernels ran.
+/// are interpretable: `matmul_q8_256` silently falls back to its scalar
+/// core without `avx2` — a reader comparing hosts needs to know which
+/// kernels ran.
 fn cpu_features() -> Vec<Json> {
     let mut feats: Vec<&str> = Vec::new();
     #[cfg(target_arch = "x86_64")]

@@ -556,8 +556,8 @@ pub fn attention_fused_relaxed(
         }
         let (qd, kd, vd) = (q.data(), k.data(), v.data());
         let tl = Tiling::new(t, dh);
-        // The relaxed GEMM core always packs (serving dims are model
-        // dims, always worth it — see matmul_fma_single).
+        // The relaxed GEMM core has no tiny-product reference fallback: it
+        // always packs, because serving dims are model dims, always worth it.
         let mut kt_all = Buffer::zeroed(bh * tl.kt_len);
         for e in 0..bh {
             pack_bt_panels(

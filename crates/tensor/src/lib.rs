@@ -42,7 +42,7 @@ pub use attention::{
 };
 pub use error::{Result, TensorError};
 pub use init::Prng;
-pub use matmul::{matmul, matmul_fma, matmul_nt, matmul_nt_fma, matmul_reference, matmul_tn};
+pub use matmul::{matmul, matmul_nt, matmul_reference, matmul_tn};
 pub use quant::{matmul_q8, quantize_per_channel, QuantizedMatrix};
 pub use serialize::{
     decode_arrays, encode_arrays, load_parameters, read_arrays, read_file, save_parameters,

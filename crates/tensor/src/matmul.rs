@@ -293,50 +293,123 @@ pub(crate) fn use_packed(m: usize, n: usize) -> bool {
     m >= MIN_PACKED_DIM && n >= MIN_PACKED_DIM
 }
 
-/// Single-matrix core with kernel dispatch: packs `b` (from the buffer
-/// pool) and runs the microkernel, or falls back to the reference loop for
-/// tiny products. No parallelism here — used per batch entry inside an
-/// outer fan-out, and by the 2-D path below after it packs once for all
-/// row chunks.
-fn matmul_single(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    if !use_packed(m, n) {
-        matmul_rows_reference(a, b, out, 0, k, n);
-        return;
-    }
-    let mut packed = Buffer::zeroed(panel_count(n) * k * NR);
-    pack_b_panels(b, k, n, &mut packed);
-    matmul_rows_packed(a, &packed, out, 0, k, n);
+/// Which operand a GEMM reads transposed — in place, with strides, never
+/// materialized (see the transpose-aware section below).
+#[derive(Clone, Copy)]
+enum Layout {
+    /// `a · b`.
+    NN,
+    /// `a · bᵀ`, with `b` given untransposed as `n x k`.
+    NT,
+    /// `aᵀ · b`, with each `a` entry given untransposed as `k x m`.
+    TN,
 }
 
-/// Raw 2-D kernel: `out[m x n] = a[m x k] * b[k x n]`, all slices row-major.
-/// Packs `b` once, then row-chunks across the pool when the product is
-/// large enough; every chunk reads the same shared panels.
-pub(crate) fn matmul2d_kernel(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
+/// The one 2-D GEMM driver: `out[rows x n] = op(a) · op(b)`, all slices
+/// row-major. `op(a)` stacks `rows / m` entries of `m x k`; only the `TN`
+/// row addressing reads `m`, because the rows of an `NN`/`NT` left operand
+/// are contiguous across entries anyway.
+///
+/// Tiny products run the layout's reference row core. Otherwise `b` is
+/// packed once, before the fan-out, and every row chunk reads the same
+/// shared panels, so chunking cannot perturb packed values. Called from a
+/// pool worker (one batch entry), it runs as one serial chunk.
+fn gemm2d(layout: Layout, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     if out.is_empty() {
         return;
     }
-    let rows_per_chunk = if pool::should_parallelize(m * k * n, MATMUL_GRAIN) {
-        (pool::grain(MATMUL_GRAIN) / (k * n).max(1)).clamp(1, m)
+    let rows = out.len() / n;
+    debug_assert_eq!(a.len(), rows * k);
+    debug_assert_eq!(b.len(), k * n);
+    let rows_per_chunk = if pool::should_parallelize(rows * k * n, MATMUL_GRAIN) {
+        (pool::grain(MATMUL_GRAIN) / (k * n).max(1)).clamp(1, rows)
     } else {
-        m
+        rows
     };
-    if !use_packed(m, n) {
+    if !use_packed(rows, n) {
         pool::for_each_chunk(out, rows_per_chunk * n, |offset, chunk| {
-            matmul_rows_reference(a, b, chunk, offset / n, k, n);
+            let row0 = offset / n;
+            match layout {
+                Layout::NN => matmul_rows_reference(a, b, chunk, row0, k, n),
+                Layout::NT => matmul_nt_rows_reference(a, b, chunk, row0, k, n),
+                Layout::TN => matmul_tn_rows_reference(a, b, chunk, row0, k, m, n),
+            }
         });
         return;
     }
-    // Pack before the fan-out: one pass over b, shared read-only by every
-    // row chunk, so chunking cannot perturb packed values.
     let mut packed = Buffer::zeroed(panel_count(n) * k * NR);
-    pack_b_panels(b, k, n, &mut packed);
+    match layout {
+        Layout::NT => pack_bt_panels(b, k, n, &mut packed),
+        Layout::NN | Layout::TN => pack_b_panels(b, k, n, &mut packed),
+    }
     let packed = &packed[..];
     pool::for_each_chunk(out, rows_per_chunk * n, |offset, chunk| {
-        matmul_rows_packed(a, packed, chunk, offset / n, k, n);
+        let row0 = offset / n;
+        match layout {
+            Layout::NN | Layout::NT => matmul_rows_packed(a, packed, chunk, row0, k, n),
+            Layout::TN => matmul_tn_rows_packed(a, k, m, packed, chunk, row0, n),
+        }
     });
+}
+
+/// The one rank dispatch behind [`matmul`], [`matmul_nt`] and
+/// [`matmul_tn`]. Shapes are read in product orientation, `op(a)` as
+/// `(m, k)` and `op(b)` as `(k', n)`, so every layout accepts the same rank
+/// pairs and its error names the same effective dims the equivalent
+/// [`matmul`] on materialized transposes would report:
+///
+/// * `(2,2)`: one GEMM;
+/// * `(3,2)`: the shared right operand folds the batch into rows, one GEMM;
+/// * `(3,3)`: batch entries fan out across the pool, one GEMM each.
+fn gemm(layout: Layout, a: &NdArray, b: &NdArray) -> Result<NdArray> {
+    let (ta, tb) = (matches!(layout, Layout::TN), matches!(layout, Layout::NT));
+    let err = || {
+        let dims = |sh: &[usize], t: bool| if t { transposed_dims(sh) } else { sh.to_vec() };
+        TensorError::MatmulMismatch { lhs: dims(a.shape(), ta), rhs: dims(b.shape(), tb) }
+    };
+    let (ra, rb) = (a.rank(), b.rank());
+    if !matches!((ra, rb), (2, 2) | (3, 2) | (3, 3)) {
+        return Err(err());
+    }
+    // The last two axes, swapped for the operand read transposed.
+    let mat = |sh: &[usize], t: bool| {
+        let (r, c) = (sh[sh.len() - 2], sh[sh.len() - 1]);
+        if t {
+            (c, r)
+        } else {
+            (r, c)
+        }
+    };
+    let (m, k) = mat(a.shape(), ta);
+    let (k2, n) = mat(b.shape(), tb);
+    let bs = if ra == 3 { a.shape()[0] } else { 1 };
+    if k != k2 || (rb == 3 && b.shape()[0] != bs) {
+        return Err(err());
+    }
+    let mut out = if ra == 3 { NdArray::zeros(&[bs, m, n]) } else { NdArray::zeros(&[m, n]) };
+    let (ad, bd) = (a.data(), b.data());
+    if rb == 2 {
+        // One GEMM sharing one packed `b`. For `TN` the row addressing in
+        // pack_at_block crosses entry boundaries exactly like the
+        // materialized batch fold.
+        gemm2d(layout, ad, bd, out.data_mut(), m, k, n);
+        return Ok(out);
+    }
+    // An empty output (`m * n == 0`) makes for_each_chunk a no-op.
+    let per = m * n;
+    let entries_per_chunk = if pool::should_parallelize(bs * m * k * n, MATMUL_GRAIN) {
+        (pool::grain(MATMUL_GRAIN) / (m * k * n).max(1)).clamp(1, bs)
+    } else {
+        bs
+    };
+    pool::for_each_chunk(out.data_mut(), entries_per_chunk * per, |offset, chunk| {
+        for (j, o_sl) in chunk.chunks_mut(per).enumerate() {
+            let i = offset / per + j;
+            let (ai, bi) = (&ad[i * m * k..(i + 1) * m * k], &bd[i * k * n..(i + 1) * k * n]);
+            gemm2d(layout, ai, bi, o_sl, m, k, n);
+        }
+    });
+    Ok(out)
 }
 
 /// Matrix product with rank dispatch:
@@ -350,63 +423,7 @@ pub(crate) fn matmul2d_kernel(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k
 /// inner-dimension disagreement; the error message names the offending
 /// `(m,k) x (k',n)` dimensions.
 pub fn matmul(a: &NdArray, b: &NdArray) -> Result<NdArray> {
-    let err = || TensorError::MatmulMismatch { lhs: a.shape().to_vec(), rhs: b.shape().to_vec() };
-    match (a.rank(), b.rank()) {
-        (2, 2) => {
-            let (m, k) = (a.shape()[0], a.shape()[1]);
-            let (k2, n) = (b.shape()[0], b.shape()[1]);
-            if k != k2 {
-                return Err(err());
-            }
-            let mut out = NdArray::zeros(&[m, n]);
-            matmul2d_kernel(a.data(), b.data(), out.data_mut(), m, k, n);
-            Ok(out)
-        }
-        (3, 3) => {
-            let (bs, m, k) = (a.shape()[0], a.shape()[1], a.shape()[2]);
-            let (bs2, k2, n) = (b.shape()[0], b.shape()[1], b.shape()[2]);
-            if k != k2 || bs != bs2 {
-                return Err(err());
-            }
-            let mut out = NdArray::zeros(&[bs, m, n]);
-            let per = m * n;
-            if per > 0 {
-                let batches_per_chunk = if pool::should_parallelize(bs * m * k * n, MATMUL_GRAIN) {
-                    (pool::grain(MATMUL_GRAIN) / (m * k * n).max(1)).clamp(1, bs)
-                } else {
-                    bs
-                };
-                let (ad, bd) = (a.data(), b.data());
-                pool::for_each_chunk(out.data_mut(), batches_per_chunk * per, |offset, chunk| {
-                    let first = offset / per;
-                    for (j, o_sl) in chunk.chunks_mut(per).enumerate() {
-                        let i = first + j;
-                        matmul_single(
-                            &ad[i * m * k..(i + 1) * m * k],
-                            &bd[i * k * n..(i + 1) * k * n],
-                            o_sl,
-                            m,
-                            k,
-                            n,
-                        );
-                    }
-                });
-            }
-            Ok(out)
-        }
-        (3, 2) => {
-            let (bs, m, k) = (a.shape()[0], a.shape()[1], a.shape()[2]);
-            let (k2, n) = (b.shape()[0], b.shape()[1]);
-            if k != k2 {
-                return Err(err());
-            }
-            // Fold the batch into the row dimension: one big GEMM.
-            let mut out = NdArray::zeros(&[bs, m, n]);
-            matmul2d_kernel(a.data(), b.data(), out.data_mut(), bs * m, k, n);
-            Ok(out)
-        }
-        _ => Err(err()),
-    }
+    gemm(Layout::NN, a, b)
 }
 
 /// Reference matrix product: the same rank dispatch as [`matmul`] but
@@ -644,108 +661,6 @@ fn matmul_tn_rows_packed(
     }
 }
 
-/// Raw 2-D kernel for `out[m x n] = a[m x k] · bᵀ` with `b` given
-/// untransposed (`n x k`, row-major). Identical structure to
-/// [`matmul2d_kernel`] — pack once, row-chunk across the pool — except the
-/// panels come from [`pack_bt_panels`]; the microkernel itself is unchanged.
-pub(crate) fn matmul_nt2d_kernel(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(out.len(), m * n);
-    if out.is_empty() {
-        return;
-    }
-    let rows_per_chunk = if pool::should_parallelize(m * k * n, MATMUL_GRAIN) {
-        (pool::grain(MATMUL_GRAIN) / (k * n).max(1)).clamp(1, m)
-    } else {
-        m
-    };
-    if !use_packed(m, n) {
-        pool::for_each_chunk(out, rows_per_chunk * n, |offset, chunk| {
-            matmul_nt_rows_reference(a, b, chunk, offset / n, k, n);
-        });
-        return;
-    }
-    let mut packed = Buffer::zeroed(panel_count(n) * k * NR);
-    pack_bt_panels(b, k, n, &mut packed);
-    let packed = &packed[..];
-    pool::for_each_chunk(out, rows_per_chunk * n, |offset, chunk| {
-        matmul_rows_packed(a, packed, chunk, offset / n, k, n);
-    });
-}
-
-/// Raw kernel for the transposed-left product over `rows = bs * m` output
-/// rows: `a` is `[bs, kdim, m]` flattened (`bs == 1` gives the plain 2-D
-/// `aᵀ[m x kdim] · b[kdim x n]`), `b` is shared, `out` is `[rows, n]`.
-/// Packs `b` once with the ordinary [`pack_b_panels`] (the right operand is
-/// not transposed here) and row-chunks across the pool; each chunk packs its
-/// `MR`-row `aᵀ` blocks from `a`'s columns on the fly.
-pub(crate) fn matmul_tn_kernel(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    kdim: usize,
-    m: usize,
-    rows: usize,
-    n: usize,
-) {
-    debug_assert_eq!(b.len(), kdim * n);
-    debug_assert_eq!(out.len(), rows * n);
-    debug_assert!(m == 0 || rows % m == 0);
-    if out.is_empty() {
-        return;
-    }
-    debug_assert_eq!(a.len(), (rows / m) * kdim * m);
-    let rows_per_chunk = if pool::should_parallelize(rows * kdim * n, MATMUL_GRAIN) {
-        (pool::grain(MATMUL_GRAIN) / (kdim * n).max(1)).clamp(1, rows)
-    } else {
-        rows
-    };
-    if !use_packed(rows, n) {
-        pool::for_each_chunk(out, rows_per_chunk * n, |offset, chunk| {
-            matmul_tn_rows_reference(a, b, chunk, offset / n, kdim, m, n);
-        });
-        return;
-    }
-    let mut packed = Buffer::zeroed(panel_count(n) * kdim * NR);
-    pack_b_panels(b, kdim, n, &mut packed);
-    let packed = &packed[..];
-    pool::for_each_chunk(out, rows_per_chunk * n, |offset, chunk| {
-        matmul_tn_rows_packed(a, kdim, m, packed, chunk, offset / n, n);
-    });
-}
-
-/// Per-batch-entry core for `a · bᵀ` — the `nt` analogue of
-/// [`matmul_single`], used inside the batched fan-out.
-fn matmul_nt_single(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    if !use_packed(m, n) {
-        matmul_nt_rows_reference(a, b, out, 0, k, n);
-        return;
-    }
-    let mut packed = Buffer::zeroed(panel_count(n) * k * NR);
-    pack_bt_panels(b, k, n, &mut packed);
-    matmul_rows_packed(a, &packed, out, 0, k, n);
-}
-
-/// Per-batch-entry core for `aᵀ · b` — the `tn` analogue of
-/// [`matmul_single`], used inside the batched fan-out.
-fn matmul_tn_single(a: &[f32], b: &[f32], out: &mut [f32], kdim: usize, m: usize, n: usize) {
-    if !use_packed(m, n) {
-        matmul_tn_rows_reference(a, b, out, 0, kdim, m, n);
-        return;
-    }
-    let mut packed = Buffer::zeroed(panel_count(n) * kdim * NR);
-    pack_b_panels(b, kdim, n, &mut packed);
-    matmul_tn_rows_packed(a, kdim, m, &packed, out, 0, n);
-}
-
 /// `a · bᵀ` with `b` passed **untransposed** — no transposed copy is ever
 /// materialized; the `Bᵀ` panels are packed straight from `B`'s rows.
 ///
@@ -764,67 +679,7 @@ fn matmul_tn_single(a: &[f32], b: &[f32], out: &mut [f32], kdim: usize, m: usize
 /// right-operand shape, matching what the equivalent [`matmul`] would
 /// report.
 pub fn matmul_nt(a: &NdArray, b: &NdArray) -> Result<NdArray> {
-    let err = || TensorError::MatmulMismatch {
-        lhs: a.shape().to_vec(),
-        rhs: transposed_dims(b.shape()),
-    };
-    match (a.rank(), b.rank()) {
-        (2, 2) => {
-            let (m, k) = (a.shape()[0], a.shape()[1]);
-            let (n, k2) = (b.shape()[0], b.shape()[1]);
-            if k != k2 {
-                return Err(err());
-            }
-            let mut out = NdArray::zeros(&[m, n]);
-            matmul_nt2d_kernel(a.data(), b.data(), out.data_mut(), m, k, n);
-            Ok(out)
-        }
-        (3, 3) => {
-            let (bs, m, k) = (a.shape()[0], a.shape()[1], a.shape()[2]);
-            let (bs2, n, k2) = (b.shape()[0], b.shape()[1], b.shape()[2]);
-            if k != k2 || bs != bs2 {
-                return Err(err());
-            }
-            let mut out = NdArray::zeros(&[bs, m, n]);
-            let per = m * n;
-            if per > 0 {
-                let batches_per_chunk = if pool::should_parallelize(bs * m * k * n, MATMUL_GRAIN) {
-                    (pool::grain(MATMUL_GRAIN) / (m * k * n).max(1)).clamp(1, bs)
-                } else {
-                    bs
-                };
-                let (ad, bd) = (a.data(), b.data());
-                pool::for_each_chunk(out.data_mut(), batches_per_chunk * per, |offset, chunk| {
-                    let first = offset / per;
-                    for (j, o_sl) in chunk.chunks_mut(per).enumerate() {
-                        let i = first + j;
-                        matmul_nt_single(
-                            &ad[i * m * k..(i + 1) * m * k],
-                            &bd[i * n * k..(i + 1) * n * k],
-                            o_sl,
-                            m,
-                            k,
-                            n,
-                        );
-                    }
-                });
-            }
-            Ok(out)
-        }
-        (3, 2) => {
-            let (bs, m, k) = (a.shape()[0], a.shape()[1], a.shape()[2]);
-            let (n, k2) = (b.shape()[0], b.shape()[1]);
-            if k != k2 {
-                return Err(err());
-            }
-            // Fold the batch into the row dimension: one big GEMM sharing
-            // one packed Bᵀ.
-            let mut out = NdArray::zeros(&[bs, m, n]);
-            matmul_nt2d_kernel(a.data(), b.data(), out.data_mut(), bs * m, k, n);
-            Ok(out)
-        }
-        _ => Err(err()),
-    }
+    gemm(Layout::NT, a, b)
 }
 
 /// `aᵀ · b` with `a` passed **untransposed** — no transposed copy is ever
@@ -845,68 +700,7 @@ pub fn matmul_nt(a: &NdArray, b: &NdArray) -> Result<NdArray> {
 /// inner-dimension disagreement. The error names the *effective* transposed
 /// left-operand shape, matching what the equivalent [`matmul`] would report.
 pub fn matmul_tn(a: &NdArray, b: &NdArray) -> Result<NdArray> {
-    let err = || TensorError::MatmulMismatch {
-        lhs: transposed_dims(a.shape()),
-        rhs: b.shape().to_vec(),
-    };
-    match (a.rank(), b.rank()) {
-        (2, 2) => {
-            let (k, m) = (a.shape()[0], a.shape()[1]);
-            let (k2, n) = (b.shape()[0], b.shape()[1]);
-            if k != k2 {
-                return Err(err());
-            }
-            let mut out = NdArray::zeros(&[m, n]);
-            matmul_tn_kernel(a.data(), b.data(), out.data_mut(), k, m, m, n);
-            Ok(out)
-        }
-        (3, 3) => {
-            let (bs, k, m) = (a.shape()[0], a.shape()[1], a.shape()[2]);
-            let (bs2, k2, n) = (b.shape()[0], b.shape()[1], b.shape()[2]);
-            if k != k2 || bs != bs2 {
-                return Err(err());
-            }
-            let mut out = NdArray::zeros(&[bs, m, n]);
-            let per = m * n;
-            if per > 0 {
-                let batches_per_chunk = if pool::should_parallelize(bs * m * k * n, MATMUL_GRAIN) {
-                    (pool::grain(MATMUL_GRAIN) / (m * k * n).max(1)).clamp(1, bs)
-                } else {
-                    bs
-                };
-                let (ad, bd) = (a.data(), b.data());
-                pool::for_each_chunk(out.data_mut(), batches_per_chunk * per, |offset, chunk| {
-                    let first = offset / per;
-                    for (j, o_sl) in chunk.chunks_mut(per).enumerate() {
-                        let i = first + j;
-                        matmul_tn_single(
-                            &ad[i * k * m..(i + 1) * k * m],
-                            &bd[i * k * n..(i + 1) * k * n],
-                            o_sl,
-                            k,
-                            m,
-                            n,
-                        );
-                    }
-                });
-            }
-            Ok(out)
-        }
-        (3, 2) => {
-            let (bs, k, m) = (a.shape()[0], a.shape()[1], a.shape()[2]);
-            let (k2, n) = (b.shape()[0], b.shape()[1]);
-            if k != k2 {
-                return Err(err());
-            }
-            // Shared right operand: pack b once, row-chunk all bs*m output
-            // rows; the row addressing in pack_at_block crosses entry
-            // boundaries exactly like the materialized batch fold.
-            let mut out = NdArray::zeros(&[bs, m, n]);
-            matmul_tn_kernel(a.data(), b.data(), out.data_mut(), k, m, bs * m, n);
-            Ok(out)
-        }
-        _ => Err(err()),
-    }
+    gemm(Layout::TN, a, b)
 }
 
 /// Batch-folded `Aᵀ·G` for the rank-3 × rank-2 backward of
@@ -927,21 +721,24 @@ pub(crate) fn matmul_tn_fold(a: &NdArray, g: &NdArray) -> Result<NdArray> {
         });
     }
     let mut out = NdArray::zeros(&[k, n]);
-    matmul_tn_kernel(a.data(), g.data(), out.data_mut(), bs * m, k, k, n);
+    gemm2d(Layout::TN, a.data(), g.data(), out.data_mut(), k, bs * m, n);
     Ok(out)
 }
 
 // ---------------------------------------------------------------------------
-// Relaxed-exactness FMA variants (DESIGN.md §15).
+// Relaxed-exactness FMA row core (DESIGN.md §15).
 //
 // The exact kernels above deliberately keep `mul` and `add` as separate
 // instructions so the packed path stays bit-identical to the seed loop. That
 // caps f32 throughput at the non-contracted peak. Serving's relaxed tier has
-// no bit-exactness contract, so `matmul_fma`/`matmul_nt_fma` run the same
-// MR×NR blocked walk over the same packed panels but fuse each lane update
-// into one `mul_add` (compiled to `vfmadd` under the `avx2,fma` target
-// features) and drop the reference kernel's ±0.0-skip branch — roughly 2×
-// the multiply-add retire rate, with one rounding per FMA instead of two.
+// no bit-exactness contract. Its linear layers run the int8 `matmul_q8`, so
+// the relaxed f32 GEMM exists only as the attention score core:
+// `attention_fused_relaxed` drives [`matmul_rows_relaxed`], which runs the
+// same MR×NR blocked walk over the same packed panels but fuses each lane
+// update into one `mul_add` (compiled to `vfmadd` under the `avx2,fma`
+// target features) and drops the reference kernel's ±0.0-skip branch —
+// roughly 2× the multiply-add retire rate, with one rounding per FMA instead
+// of two.
 //
 // `f32::mul_add` is ONLY called inside the `#[target_feature(enable =
 // "avx2", enable = "fma")]` instantiation: without the FMA ISA it lowers to
@@ -1048,140 +845,6 @@ pub(crate) fn matmul_rows_relaxed(
         }
     }
     matmul_rows_packed(a, packed, out_chunk, row0, k, n);
-}
-
-/// Per-matrix relaxed core (no pool fan-out): packs `b` — transposed
-/// packing when `nt` — and runs the relaxed row core. Unlike the exact
-/// path there is no tiny-product reference fallback: `b` sizes on the
-/// serving path are model dimensions, always worth packing.
-fn matmul_fma_single(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize, nt: bool) {
-    if out.is_empty() {
-        return;
-    }
-    let mut packed = Buffer::zeroed(panel_count(n) * k * NR);
-    if nt {
-        pack_bt_panels(b, k, n, &mut packed);
-    } else {
-        pack_b_panels(b, k, n, &mut packed);
-    }
-    matmul_rows_relaxed(a, &packed, out, 0, k, n);
-}
-
-/// Raw relaxed 2-D kernel: pack once, row-chunk across the pool. Chunk
-/// boundaries never touch `k`, so results are bit-identical at any thread
-/// count (within this tier).
-fn matmul_fma2d_kernel(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    nt: bool,
-) {
-    if out.is_empty() {
-        return;
-    }
-    let mut packed = Buffer::zeroed(panel_count(n) * k * NR);
-    if nt {
-        pack_bt_panels(b, k, n, &mut packed);
-    } else {
-        pack_b_panels(b, k, n, &mut packed);
-    }
-    let packed = &packed[..];
-    let rows_per_chunk = if pool::should_parallelize(m * k * n, MATMUL_GRAIN) {
-        (pool::grain(MATMUL_GRAIN) / (k * n).max(1)).clamp(1, m)
-    } else {
-        m
-    };
-    pool::for_each_chunk(out, rows_per_chunk * n, |offset, chunk| {
-        matmul_rows_relaxed(a, packed, chunk, offset / n, k, n);
-    });
-}
-
-/// Shared rank dispatch for the two relaxed entry points; `nt` selects
-/// `a · bᵀ` (with `b` given untransposed) versus `a · b`.
-fn matmul_relaxed_entry(a: &NdArray, b: &NdArray, nt: bool) -> Result<NdArray> {
-    let err = || TensorError::MatmulMismatch {
-        lhs: a.shape().to_vec(),
-        rhs: if nt { transposed_dims(b.shape()) } else { b.shape().to_vec() },
-    };
-    let bdims = |sh: &[usize]| {
-        let (r, c) = (sh[sh.len() - 2], sh[sh.len() - 1]);
-        if nt { (c, r) } else { (r, c) }
-    };
-    match (a.rank(), b.rank()) {
-        (2, 2) => {
-            let (m, k) = (a.shape()[0], a.shape()[1]);
-            let (k2, n) = bdims(b.shape());
-            if k != k2 {
-                return Err(err());
-            }
-            let mut out = NdArray::zeros(&[m, n]);
-            matmul_fma2d_kernel(a.data(), b.data(), out.data_mut(), m, k, n, nt);
-            Ok(out)
-        }
-        (3, 3) => {
-            let (bs, m, k) = (a.shape()[0], a.shape()[1], a.shape()[2]);
-            let (k2, n) = bdims(&b.shape()[1..]);
-            if k != k2 || bs != b.shape()[0] {
-                return Err(err());
-            }
-            let mut out = NdArray::zeros(&[bs, m, n]);
-            let per = m * n;
-            if per > 0 {
-                let batches_per_chunk = if pool::should_parallelize(bs * m * k * n, MATMUL_GRAIN) {
-                    (pool::grain(MATMUL_GRAIN) / (m * k * n).max(1)).clamp(1, bs)
-                } else {
-                    bs
-                };
-                let (ad, bd) = (a.data(), b.data());
-                pool::for_each_chunk(out.data_mut(), batches_per_chunk * per, |offset, chunk| {
-                    let first = offset / per;
-                    for (j, o_sl) in chunk.chunks_mut(per).enumerate() {
-                        let i = first + j;
-                        matmul_fma_single(
-                            &ad[i * m * k..(i + 1) * m * k],
-                            &bd[i * k * n..(i + 1) * k * n],
-                            o_sl,
-                            k,
-                            n,
-                            nt,
-                        );
-                    }
-                });
-            }
-            Ok(out)
-        }
-        (3, 2) => {
-            let (bs, m, k) = (a.shape()[0], a.shape()[1], a.shape()[2]);
-            let (k2, n) = bdims(b.shape());
-            if k != k2 {
-                return Err(err());
-            }
-            // Fold the batch into the row dimension: one big GEMM.
-            let mut out = NdArray::zeros(&[bs, m, n]);
-            matmul_fma2d_kernel(a.data(), b.data(), out.data_mut(), bs * m, k, n, nt);
-            Ok(out)
-        }
-        _ => Err(err()),
-    }
-}
-
-/// Relaxed-tier matrix product: same rank dispatch and shapes as
-/// [`matmul`], computed with the FMA-contracted microkernel (no ±0.0 skip,
-/// fused multiply-add) when the host supports `avx2,fma`, else the exact
-/// kernel. **Not** bit-equal to [`matmul`] — serving's relaxed tier only;
-/// never call this from training or exact-tier code paths.
-pub fn matmul_fma(a: &NdArray, b: &NdArray) -> Result<NdArray> {
-    matmul_relaxed_entry(a, b, false)
-}
-
-/// Relaxed-tier `a · bᵀ` with `b` passed untransposed: same rank dispatch
-/// and shapes as [`matmul_nt`], contracted like [`matmul_fma`]. Same
-/// caveats: relaxed tier only.
-pub fn matmul_nt_fma(a: &NdArray, b: &NdArray) -> Result<NdArray> {
-    matmul_relaxed_entry(a, b, true)
 }
 
 #[cfg(test)]
@@ -1459,10 +1122,27 @@ mod tests {
         let b = NdArray::zeros(&[4, 5]);
         let msg = matmul_tn(&a, &b).unwrap_err().to_string();
         assert!(msg.contains("(2,3) x (4,5)"), "message: {msg}");
+        // Batch mismatch: effective product (3,4) x (4,6) for both layouts.
+        let msg = matmul_nt(&NdArray::zeros(&[2, 3, 4]), &NdArray::zeros(&[5, 6, 4]))
+            .unwrap_err()
+            .to_string();
+        assert!(msg.contains("(3,4) x (4,6)"), "message: {msg}");
+        assert!(msg.contains("batch dimensions 2 vs 5"), "message: {msg}");
+        let msg = matmul_tn(&NdArray::zeros(&[2, 4, 3]), &NdArray::zeros(&[5, 4, 6]))
+            .unwrap_err()
+            .to_string();
+        assert!(msg.contains("(3,4) x (4,6)"), "message: {msg}");
+        assert!(msg.contains("batch dimensions 2 vs 5"), "message: {msg}");
         // Rank mismatches are rejected, not panicked on.
         let v = NdArray::zeros(&[3]);
         assert!(matmul_nt(&a, &v).is_err());
         assert!(matmul_tn(&v, &b).is_err());
+        // A rank-2 left operand never pairs with a rank-3 right one, even
+        // when the inner dims agree.
+        let (a2, b3) = (NdArray::zeros(&[3, 3]), NdArray::zeros(&[2, 3, 3]));
+        for result in [matmul(&a2, &b3), matmul_nt(&a2, &b3), matmul_tn(&a2, &b3)] {
+            assert!(matches!(result, Err(TensorError::MatmulMismatch { .. })));
+        }
     }
 
     #[test]
@@ -1493,13 +1173,64 @@ mod tests {
         assert_bits_eq(&got, &want, "tn nonfinite");
     }
 
+    /// Drives the relaxed row core the way `attention_fused_relaxed` does:
+    /// packs each `b` entry once (plain `[k,n]`, or from `[n,k]` when `nt`),
+    /// then row-chunks the `[.., m, n]` output through the pool, splitting
+    /// each chunk at entry boundaries. `a` and `b` are both rank 2 or both
+    /// rank 3.
+    fn relaxed_gemm(a: &NdArray, b: &NdArray, nt: bool) -> NdArray {
+        let (ra, rb) = (a.rank(), b.rank());
+        let bs = if ra == 3 { a.shape()[0] } else { 1 };
+        let (m, k) = (a.shape()[ra - 2], a.shape()[ra - 1]);
+        let n = if nt { b.shape()[rb - 2] } else { b.shape()[rb - 1] };
+        let mut out = if ra == 3 { NdArray::zeros(&[bs, m, n]) } else { NdArray::zeros(&[m, n]) };
+        if out.data().is_empty() {
+            return out;
+        }
+        let plen = panel_count(n) * k * NR;
+        let mut packed = vec![0.0f32; bs * plen];
+        for e in 0..bs {
+            let be = &b.data()[e * k * n..(e + 1) * k * n];
+            let dst = &mut packed[e * plen..(e + 1) * plen];
+            if nt {
+                pack_bt_panels(be, k, n, dst);
+            } else {
+                pack_b_panels(be, k, n, dst);
+            }
+        }
+        let rows_per_chunk = if pool::should_parallelize(bs * m * k * n, MATMUL_GRAIN) {
+            (pool::grain(MATMUL_GRAIN) / (k * n).max(1)).clamp(1, bs * m)
+        } else {
+            bs * m
+        };
+        let (ad, packed) = (a.data(), &packed[..]);
+        pool::for_each_chunk(out.data_mut(), rows_per_chunk * n, |offset, chunk| {
+            let rows = chunk.len() / n;
+            let mut r = 0;
+            while r < rows {
+                let (e, i0) = ((offset / n + r) / m, (offset / n + r) % m);
+                let run = (m - i0).min(rows - r);
+                matmul_rows_relaxed(
+                    &ad[e * m * k..(e + 1) * m * k],
+                    &packed[e * plen..(e + 1) * plen],
+                    &mut chunk[r * n..(r + run) * n],
+                    i0,
+                    k,
+                    n,
+                );
+                r += run;
+            }
+        });
+        out
+    }
+
     prop! {
         #![config(cases = 48)]
 
-        /// Relaxed tier: the FMA kernels stay within the analytic rounding
-        /// bound of the uncontracted f32 product (one rounding per fused
-        /// multiply-add versus two), across the full shape grid including
-        /// zero-size and `MIN_PACKED_DIM` edges, for both entry points.
+        /// Relaxed tier: the FMA row core stays within the analytic
+        /// rounding bound of the uncontracted f32 product (one rounding per
+        /// fused multiply-add versus two), across the full shape grid
+        /// including zero-size and `MIN_PACKED_DIM` edges, for both packings.
         fn fma_matches_reference_within_bound(
             mi in 0usize..9,
             ki in 0usize..9,
@@ -1510,7 +1241,7 @@ mod tests {
             let a = grid_array(&[m, k], salt);
             let b = grid_array(&[k, n], salt ^ 0x0faa);
             let want = matmul_reference(&a, &b).unwrap();
-            let got = matmul_fma(&a, &b).unwrap();
+            let got = relaxed_gemm(&a, &b, false);
             prop_assert_eq!(got.shape(), want.shape());
             for i in 0..m {
                 for j in 0..n {
@@ -1525,7 +1256,8 @@ mod tests {
             }
             let bt = grid_array(&[n, k], salt ^ 0x0bbb);
             let want = matmul(&a, &bt.transpose()).unwrap();
-            let got = matmul_nt_fma(&a, &bt).unwrap();
+            let got = relaxed_gemm(&a, &bt, true);
+            prop_assert_eq!(got.shape(), want.shape());
             for i in 0..m {
                 for j in 0..n {
                     let abssum: f32 =
@@ -1551,29 +1283,18 @@ mod tests {
             let a3 = grid_array(&[bs, m, k], 13);
             let b2 = grid_array(&[k, n], 17);
             let b3 = grid_array(&[bs, n, k], 19);
-            let w2 = pool::with_threads(1, || matmul_fma(&a2, &b2).unwrap());
-            let w3 = pool::with_threads(1, || matmul_nt_fma(&a3, &b3).unwrap());
+            let w2 = pool::with_threads(1, || relaxed_gemm(&a2, &b2, false));
+            let w3 = pool::with_threads(1, || relaxed_gemm(&a3, &b3, true));
             for threads in [2usize, 4] {
                 let (g2, g3) = pool::with_threads(threads, || {
                     pool::with_grain(64, || {
-                        (matmul_fma(&a2, &b2).unwrap(), matmul_nt_fma(&a3, &b3).unwrap())
+                        (relaxed_gemm(&a2, &b2, false), relaxed_gemm(&a3, &b3, true))
                     })
                 });
                 assert_bits_eq(&g2, &w2, &format!("fma t{threads}"));
                 assert_bits_eq(&g3, &w3, &format!("nt_fma t{threads}"));
             }
         }
-    }
-
-    #[test]
-    fn fma_rejects_mismatch_like_exact() {
-        let a = NdArray::zeros(&[2, 3]);
-        let b = NdArray::zeros(&[4, 5]);
-        let msg = matmul_fma(&a, &b).unwrap_err().to_string();
-        assert!(msg.contains("(2,3) x (4,5)"), "message: {msg}");
-        let msg = matmul_nt_fma(&a, &NdArray::zeros(&[5, 4])).unwrap_err().to_string();
-        assert!(msg.contains("(2,3) x (4,5)"), "message: {msg}");
-        assert!(matmul_fma(&a, &NdArray::zeros(&[3])).is_err());
     }
 
     #[test]
