@@ -41,6 +41,12 @@ echo "== benches: compile only =="
 # could disappear without any other step noticing. This runs nothing.
 cargo build --release --offline --benches
 
+echo "== rustdoc: no warnings =="
+# Deleting or renaming an item leaves doc links that name it dangling, and
+# no build or test step reads doc comments. This fails on any rustdoc
+# warning, broken or ambiguous intra-doc links included.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
+
 echo "== tests (TIMEDRL_THREADS=1) =="
 TIMEDRL_THREADS=1 cargo test --offline -q
 

@@ -154,12 +154,14 @@ impl ShardTrainPlan {
         self.run_dir.join("done")
     }
 
-    /// Polls until `path` exists (any worker may still be writing peers'
-    /// files, hence polling rather than notification — it keeps the
-    /// protocol free of every IPC primitive except the filesystem).
+    /// Polls until `path` exists or the run's `done` marker appears (any
+    /// worker may still be writing peers' files, hence polling rather than
+    /// notification — it keeps the protocol free of every IPC primitive
+    /// except the filesystem). Only the coordinator writes `done`, after
+    /// its last wait, so for the coordinator this waits on `path` alone.
     fn wait_for(&self, path: &Path) -> Result<(), TrainError> {
         let mut waited = 0u64;
-        while !path.exists() {
+        while !path.exists() && !self.done_path().exists() {
             if waited >= self.timeout_ms {
                 return Err(TrainError::ShardTimeout {
                     waiting_for: path.to_path_buf(),
@@ -409,18 +411,7 @@ fn run_follower(
         }
         on_step(s);
         let params = plan.params_path(s);
-        // Poll for either the step's snapshot or the end of the run.
-        let mut waited = 0u64;
-        loop {
-            if params.exists() || plan.done_path().exists() {
-                break;
-            }
-            if waited >= plan.timeout_ms {
-                return Err(TrainError::ShardTimeout { waiting_for: params, waited_ms: waited });
-            }
-            std::thread::sleep(Duration::from_millis(plan.poll_ms));
-            waited += plan.poll_ms;
-        }
+        plan.wait_for(&params)?;
         if !params.exists() {
             return Ok(()); // done appeared first
         }

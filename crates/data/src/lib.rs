@@ -27,8 +27,6 @@ pub use patch::{patch_batch, patch_sample, unpatch_sample, PatchConfig};
 pub use pipeline::{
     instance_normalize, InstanceStats, PipelineError, Standardizer, INSTANCE_NORM_EPS,
 };
-pub use shard::{
-    read_shard, shard_path, ShardError, ShardMeta, ShardWriter, ShardedDataset, ShardedWindows,
-};
+pub use shard::{read_shard, shard_path, ShardError, ShardMeta, ShardWriter, ShardedDataset};
 pub use ts_format::{load_ts, parse_ts, TsFormatError};
 pub use window::{chrono_split, sliding_windows, ChronoSplit, WindowedForecast};

@@ -24,14 +24,15 @@
 //! # Memory model
 //!
 //! [`ShardedDataset::open`] verifies every shard (full CRC read) but holds
-//! only the headers: one shard slab is resident at a time. The streaming
-//! window iterator ([`ShardedDataset::windows`]) keeps a rolling row
-//! buffer that never exceeds one shard plus one window span, so peak
-//! resident data is bounded by the shard size regardless of `T`. Windows
-//! are produced by pure `memcpy` from the slabs — **bitwise-equal** to the
-//! in-memory [`sliding_windows`](crate::window::sliding_windows) path,
-//! including windows straddling shard boundaries (a property test in
-//! `crates/integration` pins this).
+//! only the headers. The one window reader,
+//! [`ShardedDataset::shard_window_batch`], gathers only the rows covering
+//! the requested windows, loading one shard slab at a time: peak resident
+//! data is one slab plus the requested windows (and the row run they
+//! span, at most one shard plus one window span), regardless of `T`.
+//! Windows are produced by pure `memcpy` from the slabs — **bitwise-equal**
+//! to the in-memory [`sliding_windows`](crate::window::sliding_windows)
+//! path in any index order, including windows straddling shard boundaries
+//! (a test in `crates/integration` pins this).
 
 use crate::window::WindowedForecast;
 use std::fmt;
@@ -65,7 +66,8 @@ pub enum ShardError {
         /// What was inconsistent.
         detail: String,
     },
-    /// The window plan is degenerate (zero stride or zero span).
+    /// The window plan is degenerate (zero stride or zero span), or a
+    /// window index lies outside the shard's owned range.
     BadWindowPlan(String),
 }
 
@@ -368,11 +370,6 @@ impl ShardedDataset {
         self.metas[0].total_rows as usize
     }
 
-    /// Header of shard `j`.
-    pub fn meta(&self, j: usize) -> &ShardMeta {
-        &self.metas[j]
-    }
-
     /// Loads shard `j`'s slab, re-verifying its CRC and re-checking the
     /// header against the one captured at `open` (a file swapped on disk
     /// in between is a manifest mismatch, not silent bad data).
@@ -412,7 +409,8 @@ impl ShardedDataset {
     }
 
     /// Global index range `[start, end)` of the windows *owned* by shard
-    /// `j`: a window belongs to the shard containing its first row.
+    /// `j`: a window belongs to the shard containing its first row. A shard
+    /// index past the split owns nothing: `(0, 0)`.
     pub fn shard_window_range(
         &self,
         j: usize,
@@ -421,7 +419,7 @@ impl ShardedDataset {
         stride: usize,
     ) -> (usize, usize) {
         let n = self.window_count(lookback, horizon, stride);
-        if n == 0 {
+        if n == 0 || j >= self.metas.len() {
             return (0, 0);
         }
         let m = &self.metas[j];
@@ -435,79 +433,6 @@ impl ShardedDataset {
     pub fn shard_window_count(&self, j: usize, lookback: usize, horizon: usize, stride: usize) -> usize {
         let (a, b) = self.shard_window_range(j, lookback, horizon, stride);
         b - a
-    }
-
-    /// Streaming iterator over every window of the series in global order,
-    /// loading shards on demand: peak resident data is one shard plus one
-    /// window span, regardless of `T`.
-    ///
-    /// # Errors
-    /// [`ShardError::BadWindowPlan`] on a degenerate plan.
-    pub fn windows(
-        &self,
-        lookback: usize,
-        horizon: usize,
-        stride: usize,
-    ) -> Result<ShardedWindows<'_>, ShardError> {
-        self.check_plan(lookback + horizon, stride)?;
-        Ok(ShardedWindows {
-            ds: self,
-            lookback,
-            horizon,
-            stride,
-            n: self.window_count(lookback, horizon, stride),
-            next_window: 0,
-            buf: Vec::new(),
-            buf_start: 0,
-            next_shard: 0,
-            peak_buf_rows: 0,
-        })
-    }
-
-    /// Materializes the windows owned by shard `j` as a
-    /// [`WindowedForecast`] — the unit a sharded-pretraining worker
-    /// consumes. Rows are gathered from the minimal run of shards covering
-    /// the range (windows near the end of shard `j` may straddle into the
-    /// following shards), holding one slab at a time.
-    ///
-    /// # Errors
-    /// [`ShardError::BadWindowPlan`] on a degenerate plan, or any
-    /// corruption/mismatch error from reloading the slabs.
-    pub fn shard_windows(
-        &self,
-        j: usize,
-        lookback: usize,
-        horizon: usize,
-        stride: usize,
-    ) -> Result<WindowedForecast, ShardError> {
-        let span = lookback + horizon;
-        self.check_plan(span, stride)?;
-        let c = self.channels();
-        let (w0, w1) = self.shard_window_range(j, lookback, horizon, stride);
-        if w0 >= w1 {
-            return Ok(WindowedForecast {
-                inputs: NdArray::zeros(&[0, lookback, c]),
-                targets: NdArray::zeros(&[0, horizon, c]),
-            });
-        }
-        // Rows needed: the first owned window's start through the last
-        // owned window's end.
-        let row_lo = w0 * stride;
-        let row_hi = (w1 - 1) * stride + span;
-        let rows = self.gather_row_range(row_lo, row_hi)?;
-        let n = w1 - w0;
-        let mut inputs = Vec::with_capacity(n * lookback * c);
-        let mut targets = Vec::with_capacity(n * horizon * c);
-        for w in w0..w1 {
-            let start = w * stride - row_lo;
-            inputs.extend_from_slice(&rows[start * c..(start + lookback) * c]);
-            let tstart = start + lookback;
-            targets.extend_from_slice(&rows[tstart * c..(tstart + horizon) * c]);
-        }
-        Ok(WindowedForecast {
-            inputs: NdArray::from_vec(&[n, lookback, c], inputs).expect("window shape"),
-            targets: NdArray::from_vec(&[n, horizon, c], targets).expect("target shape"),
-        })
     }
 
     /// Materializes only the windows `idx` — *local* indices into shard
@@ -584,106 +509,6 @@ impl ShardedDataset {
     }
 }
 
-/// Streaming window iterator over a [`ShardedDataset`]; see
-/// [`ShardedDataset::windows`].
-pub struct ShardedWindows<'a> {
-    ds: &'a ShardedDataset,
-    lookback: usize,
-    horizon: usize,
-    stride: usize,
-    n: usize,
-    next_window: usize,
-    /// Rows `[buf_start, buf_start + buf.len()/c)` of the global series.
-    buf: Vec<f32>,
-    buf_start: usize,
-    next_shard: usize,
-    peak_buf_rows: usize,
-}
-
-impl ShardedWindows<'_> {
-    /// Total windows this iterator will yield.
-    pub fn window_count(&self) -> usize {
-        self.n
-    }
-
-    /// High-water mark of the rolling row buffer, in bytes — the RSS proxy
-    /// `BENCH_shard.json` reports against the full-series footprint.
-    pub fn peak_buffer_bytes(&self) -> usize {
-        self.peak_buf_rows * self.ds.channels() * std::mem::size_of::<f32>()
-    }
-}
-
-impl Iterator for ShardedWindows<'_> {
-    type Item = Result<(NdArray, NdArray), ShardError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.next_window >= self.n {
-            return None;
-        }
-        let c = self.ds.channels();
-        let span = self.lookback + self.horizon;
-        let start = self.next_window * self.stride;
-        let end = start + span;
-        // Retire rows before this window's start.
-        if start > self.buf_start {
-            let drop_rows = (start - self.buf_start).min(self.buf.len() / c);
-            self.buf.drain(..drop_rows * c);
-            self.buf_start = start;
-        }
-        // Pull shards until the window's last row is buffered.
-        while self.buf_start + self.buf.len() / c < end {
-            // A long stride can move the buffer start past whole shards
-            // that were never loaded; skip them without loading (their
-            // rows are entirely behind this window).
-            while self
-                .ds
-                .metas
-                .get(self.next_shard)
-                .is_some_and(|m| (m.global_offset + m.rows) as usize <= self.buf_start)
-            {
-                self.next_shard += 1;
-            }
-            let k = self.next_shard;
-            if k >= self.ds.metas.len() {
-                // Unreachable for a set validated by `open` (full row
-                // coverage), but a typed error beats an index panic.
-                let w = self.next_window;
-                self.next_window = self.n; // poison: stop iterating
-                return Some(Err(ShardError::BadWindowPlan(format!(
-                    "window {w} needs rows up to {end}, past the end of the shard set"
-                ))));
-            }
-            let slab = match self.ds.load_slab(k) {
-                Ok(s) => s,
-                Err(e) => {
-                    self.next_window = self.n; // poison: stop iterating
-                    return Some(Err(e));
-                }
-            };
-            let off = self.ds.metas[k].global_offset as usize;
-            // Skip any prefix already behind the buffer start; the shard
-            // advance above guarantees this stays within the slab.
-            let skip = self.buf_start.saturating_sub(off);
-            self.buf.extend_from_slice(&slab[skip * c..]);
-            self.next_shard += 1;
-        }
-        self.peak_buf_rows = self.peak_buf_rows.max(self.buf.len() / c);
-        let base = (start - self.buf_start) * c;
-        let input = NdArray::from_vec(
-            &[self.lookback, c],
-            self.buf[base..base + self.lookback * c].to_vec(),
-        )
-        .expect("window shape");
-        let target = NdArray::from_vec(
-            &[self.horizon, c],
-            self.buf[base + self.lookback * c..base + span * c].to_vec(),
-        )
-        .expect("target shape");
-        self.next_window += 1;
-        Some(Ok((input, target)))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -756,27 +581,34 @@ mod tests {
         let dir = tmp("plans");
         ShardWriter::new(8).unwrap().write(&series(20, 1), &dir).unwrap();
         let ds = ShardedDataset::open(&dir).unwrap();
-        assert!(matches!(ds.windows(4, 1, 0), Err(ShardError::BadWindowPlan(_))));
-        assert!(matches!(ds.windows(0, 0, 1), Err(ShardError::BadWindowPlan(_))));
-        assert!(matches!(ds.shard_windows(0, 4, 1, 0), Err(ShardError::BadWindowPlan(_))));
+        for (lookback, horizon, stride) in [(4, 1, 0), (0, 0, 1)] {
+            assert!(matches!(
+                ds.shard_window_batch(0, lookback, horizon, stride, &[0]),
+                Err(ShardError::BadWindowPlan(_))
+            ));
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn stride_past_a_whole_shard_streams_without_panicking() {
         // 35 rows in 10-row shards, windows (5, 0, 25): window 1 starts at
-        // row 25, past the end of the never-loaded shard 1 — this used to
-        // slice out of the shard's slab and panic.
+        // row 25, so shard 2 owns it and shard 1 owns nothing; reading it
+        // must skip shard 1's slab entirely.
         let dir = tmp("stride_jump");
         let s = series(35, 1);
         ShardWriter::new(10).unwrap().write(&s, &dir).unwrap();
         let ds = ShardedDataset::open(&dir).unwrap();
-        let mut iter = ds.windows(5, 0, 25).unwrap();
-        let got: Vec<_> = iter.by_ref().map(|w| w.unwrap()).collect();
+        let mut got = Vec::new();
+        for j in 0..ds.num_shards() {
+            let idx: Vec<usize> = (0..ds.shard_window_count(j, 5, 0, 25)).collect();
+            let wf = ds.shard_window_batch(j, 5, 0, 25, &idx).unwrap();
+            got.extend(wf.inputs.data().chunks(5).map(<[f32]>::to_vec));
+        }
         assert_eq!(got.len(), 2);
-        for (w, (input, _target)) in got.iter().enumerate() {
+        for (w, input) in got.iter().enumerate() {
             let start = w * 25;
-            assert_eq!(input.data(), &s.data()[start..start + 5], "window {w}");
+            assert_eq!(input, &s.data()[start..start + 5], "window {w}");
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -784,12 +616,14 @@ mod tests {
     #[test]
     fn shard_window_batch_matches_full_materialization() {
         let dir = tmp("batch");
-        ShardWriter::new(7).unwrap().write(&series(53, 2), &dir).unwrap();
+        let s = series(53, 2);
+        ShardWriter::new(7).unwrap().write(&s, &dir).unwrap();
         let ds = ShardedDataset::open(&dir).unwrap();
         let (lookback, horizon, stride) = (5, 2, 3);
+        let full = crate::window::sliding_windows(&s, lookback, horizon, stride);
         for j in 0..ds.num_shards() {
-            let full = ds.shard_windows(j, lookback, horizon, stride).unwrap();
-            let n = full.inputs.shape()[0];
+            let (w0, w1) = ds.shard_window_range(j, lookback, horizon, stride);
+            let n = w1 - w0;
             if n == 0 {
                 continue;
             }
@@ -797,16 +631,16 @@ mod tests {
             // gather must honor `idx` order, not window order.
             let idx: Vec<usize> = (0..n).rev().collect();
             let batch = ds.shard_window_batch(j, lookback, horizon, stride, &idx).unwrap();
-            for (k, &w) in idx.iter().enumerate() {
+            for (k, &i) in idx.iter().enumerate() {
                 assert_eq!(
                     batch.inputs.slice(0, k, 1).unwrap().data(),
-                    full.inputs.slice(0, w, 1).unwrap().data(),
-                    "shard {j} window {w} input bytes"
+                    full.inputs.slice(0, w0 + i, 1).unwrap().data(),
+                    "shard {j} window {i} input bytes"
                 );
                 assert_eq!(
                     batch.targets.slice(0, k, 1).unwrap().data(),
-                    full.targets.slice(0, w, 1).unwrap().data(),
-                    "shard {j} window {w} target bytes"
+                    full.targets.slice(0, w0 + i, 1).unwrap().data(),
+                    "shard {j} window {i} target bytes"
                 );
             }
             // An index past the owned range is a typed error, not a panic.
@@ -815,6 +649,14 @@ mod tests {
                 Err(ShardError::BadWindowPlan(_))
             ));
         }
+        // A shard index past the split owns no windows: any index is the
+        // same typed error, and the count is zero.
+        let past = ds.num_shards();
+        assert_eq!(ds.shard_window_count(past, lookback, horizon, stride), 0);
+        assert!(matches!(
+            ds.shard_window_batch(past, lookback, horizon, stride, &[0]),
+            Err(ShardError::BadWindowPlan(_))
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 

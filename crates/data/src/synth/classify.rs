@@ -222,18 +222,6 @@ pub mod default_n {
     pub const WISDM: usize = 4_091;
 }
 
-/// All five classification datasets at a common reduced sample count (for
-/// experiments) or their paper counts (`n = None`).
-pub fn all_classify_datasets(n: Option<usize>, seed: u64) -> Vec<ClassifyDataset> {
-    vec![
-        finger_movements(n.unwrap_or(default_n::FINGER_MOVEMENTS), seed),
-        pendigits(n.unwrap_or(default_n::PENDIGITS), seed),
-        har(n.unwrap_or(default_n::HAR), seed),
-        epilepsy(n.unwrap_or(default_n::EPILEPSY), seed),
-        wisdm(n.unwrap_or(default_n::WISDM), seed),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

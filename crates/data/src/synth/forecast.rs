@@ -190,19 +190,6 @@ pub mod default_len {
     pub const WEATHER: usize = 52_696;
 }
 
-/// All six forecasting datasets at a common reduced length (for
-/// experiments) or their paper lengths (`len = None`).
-pub fn all_forecast_datasets(len: Option<usize>, seed: u64) -> Vec<ForecastDataset> {
-    vec![
-        etth1(len.unwrap_or(default_len::ETTH), seed),
-        etth2(len.unwrap_or(default_len::ETTH), seed),
-        ettm1(len.unwrap_or(default_len::ETTM), seed),
-        ettm2(len.unwrap_or(default_len::ETTM), seed),
-        exchange(len.unwrap_or(default_len::EXCHANGE), seed),
-        weather(len.unwrap_or(default_len::WEATHER), seed),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,8 +3,7 @@
 //! Neural-network building blocks on top of the `timedrl-tensor` autograd
 //! engine: layers (Linear, Dropout, LayerNorm, BatchNorm1d, multi-head
 //! attention, Transformer blocks, LSTM/Bi-LSTM, Conv1d/TCN/1-D ResNet),
-//! optimizers (SGD, Adam, AdamW), and the losses used by TimeDRL and its
-//! baselines.
+//! the AdamW optimizer, and the losses used by TimeDRL and its baselines.
 //!
 //! All stochastic layers draw from the [`Ctx`] passed through `forward`,
 //! which carries the train/eval switch and a seeded RNG — the dropout
@@ -34,7 +33,7 @@ pub use linear::{Dropout, Linear};
 pub use lstm::{BiLstm, Lstm};
 pub use module::{clip_grad_norm, Ctx, Module};
 pub use norm::{BatchNorm1d, LayerNorm};
-pub use optim::{Adam, AdamW, OptimState, Optimizer, Sgd};
+pub use optim::{AdamW, OptimState, Optimizer};
 pub use resnet::{BasicBlock1d, ResNet1d};
 pub use schedule::{ConstantLr, LrSchedule, StepDecay, WarmupCosine};
 pub use tcn::{CausalConv1d, Tcn, TemporalBlock};

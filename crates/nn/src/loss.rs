@@ -9,15 +9,10 @@ use timedrl_tensor::{NdArray, Var};
 
 /// SimSiam-style negative-cosine loss with stop-gradient on the target
 /// (one direction of Eq. 16/17): `-cos(pred, stop_grad(target))` averaged
-/// over rows.
+/// over rows. The symmetric Eq. 18 average, with the Table IX
+/// stop-gradient toggle, is `timedrl::pretext::contrastive_loss`.
 pub fn negative_cosine(pred: &Var, target: &Var) -> Var {
     pred.cosine_similarity_mean(&target.detach()).neg()
-}
-
-/// The full symmetric SimSiam objective (Eq. 18): average of both
-/// stop-gradient directions, each through its own prediction-head output.
-pub fn simsiam_loss(p1: &Var, z2: &Var, p2: &Var, z1: &Var) -> Var {
-    negative_cosine(p1, z2).add(&negative_cosine(p2, z1)).scale(0.5)
 }
 
 /// NT-Xent (normalized temperature-scaled cross-entropy), the SimCLR loss.
@@ -51,21 +46,6 @@ pub fn nt_xent(za: &Var, zb: &Var, temperature: f32) -> Var {
 pub fn l2_normalize_rows(z: &Var) -> Var {
     let norms = z.mul(z).sum_axis(1, true).add_scalar(1e-8).sqrt();
     z.div(&norms)
-}
-
-/// Triplet margin loss over `[N, D]` anchor/positive/negative embeddings
-/// (T-Loss uses a logistic variant; the margin form exercises the same
-/// geometry): `mean(relu(d(a,p) - d(a,n) + margin))`.
-pub fn triplet_margin(anchor: &Var, positive: &Var, negative: &Var, margin: f32) -> Var {
-    let dp = squared_row_distance(anchor, positive);
-    let dn = squared_row_distance(anchor, negative);
-    dp.sub(&dn).add_scalar(margin).relu().mean()
-}
-
-/// Row-wise squared Euclidean distance of `[N, D]` pairs, shape `[N]`.
-fn squared_row_distance(a: &Var, b: &Var) -> Var {
-    let d = a.sub(b);
-    d.mul(&d).sum_axis(1, false)
 }
 
 /// T-Loss's logistic triplet objective:
@@ -141,16 +121,6 @@ mod tests {
     }
 
     #[test]
-    fn simsiam_symmetric() {
-        let mut rng = Prng::new(2);
-        let p1 = Var::parameter(rng.randn(&[4, 8]));
-        let z2 = Var::parameter(rng.randn(&[4, 8]));
-        let loss_ab = simsiam_loss(&p1, &z2, &z2, &p1).item();
-        let loss_ba = simsiam_loss(&z2, &p1, &p1, &z2).item();
-        assert!((loss_ab - loss_ba).abs() < 1e-5);
-    }
-
-    #[test]
     fn nt_xent_prefers_aligned_views() {
         let mut rng = Prng::new(3);
         let za = rng.randn(&[8, 16]);
@@ -171,22 +141,6 @@ mod tests {
             let n: f32 = row.iter().map(|v| v * v).sum::<f32>().sqrt();
             assert!((n - 1.0).abs() < 1e-4);
         }
-    }
-
-    #[test]
-    fn triplet_zero_when_well_separated() {
-        let a = Var::constant(NdArray::from_vec(&[1, 2], vec![0.0, 0.0]).unwrap());
-        let p = Var::constant(NdArray::from_vec(&[1, 2], vec![0.1, 0.0]).unwrap());
-        let n = Var::constant(NdArray::from_vec(&[1, 2], vec![10.0, 0.0]).unwrap());
-        assert_eq!(triplet_margin(&a, &p, &n, 1.0).item(), 0.0);
-    }
-
-    #[test]
-    fn triplet_positive_when_violated() {
-        let a = Var::constant(NdArray::from_vec(&[1, 2], vec![0.0, 0.0]).unwrap());
-        let p = Var::constant(NdArray::from_vec(&[1, 2], vec![5.0, 0.0]).unwrap());
-        let n = Var::constant(NdArray::from_vec(&[1, 2], vec![0.1, 0.0]).unwrap());
-        assert!(triplet_margin(&a, &p, &n, 1.0).item() > 0.0);
     }
 
     #[test]

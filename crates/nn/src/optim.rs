@@ -1,7 +1,6 @@
-//! First-order optimizers: SGD (with momentum), Adam, and AdamW.
-//!
-//! The paper trains with AdamW + weight decay (Section V.4); SGD and Adam
-//! exist for baselines and tests.
+//! The optimizer: AdamW with decoupled weight decay, which the paper
+//! trains with (Section V.4) and which every trainer and baseline here
+//! builds.
 
 use timedrl_tensor::{NdArray, Var};
 
@@ -19,47 +18,121 @@ pub trait Optimizer {
     fn set_learning_rate(&mut self, lr: f32);
 }
 
-/// Stochastic gradient descent with optional classical momentum.
-pub struct Sgd {
-    params: Vec<Var>,
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<NdArray>,
+/// A snapshot of AdamW state — the first (`m`) and second (`v`) moment
+/// estimates plus the bias-correction step count `t` — in the optimizer's
+/// parameter order. This is what a resumable training checkpoint must
+/// carry in addition to the weights: restarting AdamW with zeroed moments
+/// changes every subsequent update, so bit-exact resume (DESIGN.md §11)
+/// round-trips this through `timedrl-core`'s training-state checkpoint.
+#[derive(Debug, Clone)]
+pub struct OptimState {
+    /// First-moment (mean) estimates, one per parameter.
+    pub m: Vec<NdArray>,
+    /// Second-moment (uncentered variance) estimates, one per parameter.
+    pub v: Vec<NdArray>,
+    /// Completed optimizer steps (drives bias correction).
+    pub t: u32,
 }
 
-impl Sgd {
-    /// Creates an SGD optimizer.
-    pub fn new(params: Vec<Var>, lr: f32, momentum: f32) -> Self {
-        let velocity = params.iter().map(|p| NdArray::zeros(&p.shape())).collect();
-        Self { params, lr, momentum, velocity }
+/// AdamW (Loshchilov & Hutter): Adam with *decoupled* weight decay — the
+/// optimizer the TimeDRL paper uses for all experiments.
+pub struct AdamW {
+    params: Vec<Var>,
+    lr: f32,
+    beta1: f32,
+    beta2: f32,
+    eps: f32,
+    weight_decay: f32,
+    m: Vec<NdArray>,
+    v: Vec<NdArray>,
+    t: u32,
+}
+
+impl AdamW {
+    /// Creates an AdamW optimizer with the given decay.
+    pub fn new(params: Vec<Var>, lr: f32, weight_decay: f32) -> Self {
+        let m = params.iter().map(|p| NdArray::zeros(&p.shape())).collect();
+        let v = params.iter().map(|p| NdArray::zeros(&p.shape())).collect();
+        Self { params, lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, weight_decay, m, v, t: 0 }
+    }
+
+    /// Copies out the optimizer state (moments + step count) for a
+    /// training checkpoint.
+    pub fn export_state(&self) -> OptimState {
+        OptimState { m: self.m.clone(), v: self.v.clone(), t: self.t }
+    }
+
+    /// Restores state exported by [`AdamW::export_state`]. Counts and
+    /// shapes must match this optimizer's parameters exactly.
+    ///
+    /// # Errors
+    /// Returns a description of the first mismatch; on error the optimizer
+    /// is left unchanged.
+    pub fn import_state(&mut self, state: OptimState) -> Result<(), String> {
+        let n = self.params.len();
+        if state.m.len() != n || state.v.len() != n {
+            return Err(format!(
+                "optimizer state has {} m / {} v arrays, expected {n}",
+                state.m.len(),
+                state.v.len()
+            ));
+        }
+        for (i, p) in self.params.iter().enumerate() {
+            let shape = p.shape();
+            if state.m[i].shape() != shape.as_slice() || state.v[i].shape() != shape.as_slice() {
+                return Err(format!(
+                    "optimizer state {i}: moment shapes m {:?} / v {:?} vs parameter {:?}",
+                    state.m[i].shape(),
+                    state.v[i].shape(),
+                    shape
+                ));
+            }
+        }
+        self.m = state.m;
+        self.v = state.v;
+        self.t = state.t;
+        Ok(())
     }
 }
 
-impl Optimizer for Sgd {
+impl Optimizer for AdamW {
     fn step(&mut self) {
-        // Fused in-place update: per element the same operations as the
-        // old chained array ops (`v*mom + g`, `w - v*lr`), without the
-        // intermediate arrays.
-        let (lr, mom) = (self.lr, self.momentum);
-        for (p, v) in self.params.iter().zip(self.velocity.iter_mut()) {
+        self.t += 1;
+        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
+        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        // Fused in-place update. All scalar factors are hoisted exactly as
+        // the old chained array ops computed them (`scale(1.0 / bc1)`
+        // multiplies every element by the precomputed reciprocal), so each
+        // element sees the identical f32 operation sequence:
+        //   m  = m*b1 + g*(1-b1);  v = v*b2 + (g*g)*(1-b2)
+        //   u  = (m*(1/bc1)) / (sqrt(v*(1/bc2)) + eps) * lr
+        //   w  = w*(1-lr*wd) - u
+        let (b1, b2, eps, lr) = (self.beta1, self.beta2, self.eps, self.lr);
+        let (ob1, ob2) = (1.0 - b1, 1.0 - b2);
+        let (rb1, rb2) = (1.0 / bc1, 1.0 / bc2);
+        let wd = self.lr * self.weight_decay;
+        let decay = 1.0 - wd;
+        for i in 0..self.params.len() {
+            let p = &self.params[i];
             let Some(g) = p.grad_ref() else { continue };
-            if mom > 0.0 {
-                p.update_value(|w| {
-                    for ((wj, vj), &gj) in
-                        w.data_mut().iter_mut().zip(v.data_mut()).zip(g.data())
-                    {
-                        let nv = *vj * mom + gj;
-                        *vj = nv;
-                        *wj -= nv * lr;
+            let m = &mut self.m[i];
+            let v = &mut self.v[i];
+            p.update_value(|w| {
+                let it = w.data_mut().iter_mut().zip(g.data()).zip(m.data_mut()).zip(v.data_mut());
+                for (((wj, &gj), mj), vj) in it {
+                    let mn = *mj * b1 + gj * ob1;
+                    *mj = mn;
+                    let vn = *vj * b2 + gj * gj * ob2;
+                    *vj = vn;
+                    let upd = mn * rb1 / ((vn * rb2).sqrt() + eps) * lr;
+                    if wd > 0.0 {
+                        // Decay applied directly to the weights, decoupled
+                        // from the adaptive gradient scaling.
+                        *wj *= decay;
                     }
-                });
-            } else {
-                p.update_value(|w| {
-                    for (wj, &gj) in w.data_mut().iter_mut().zip(g.data()) {
-                        *wj -= gj * lr;
-                    }
-                });
-            }
+                    *wj -= upd;
+                }
+            });
         }
     }
 
@@ -82,205 +155,6 @@ impl Optimizer for Sgd {
     }
 }
 
-/// A snapshot of Adam-family optimizer state — the first (`m`) and second
-/// (`v`) moment estimates plus the bias-correction step count `t` — in the
-/// optimizer's parameter order. This is what a resumable training
-/// checkpoint must carry in addition to the weights: restarting AdamW with
-/// zeroed moments changes every subsequent update, so bit-exact resume
-/// (DESIGN.md §11) round-trips this through
-/// `timedrl-core`'s training-state checkpoint.
-#[derive(Debug, Clone)]
-pub struct OptimState {
-    /// First-moment (mean) estimates, one per parameter.
-    pub m: Vec<NdArray>,
-    /// Second-moment (uncentered variance) estimates, one per parameter.
-    pub v: Vec<NdArray>,
-    /// Completed optimizer steps (drives bias correction).
-    pub t: u32,
-}
-
-/// Shared Adam machinery; `decoupled` selects AdamW's weight decay.
-struct AdamState {
-    params: Vec<Var>,
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    weight_decay: f32,
-    decoupled: bool,
-    m: Vec<NdArray>,
-    v: Vec<NdArray>,
-    t: u32,
-}
-
-impl AdamState {
-    fn new(params: Vec<Var>, lr: f32, weight_decay: f32, decoupled: bool) -> Self {
-        let m = params.iter().map(|p| NdArray::zeros(&p.shape())).collect();
-        let v = params.iter().map(|p| NdArray::zeros(&p.shape())).collect();
-        Self { params, lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, weight_decay, decoupled, m, v, t: 0 }
-    }
-
-    fn step(&mut self) {
-        self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        // Fused in-place update. All scalar factors are hoisted exactly as
-        // the old chained array ops computed them (`scale(1.0 / bc1)`
-        // multiplies every element by the precomputed reciprocal), so each
-        // element sees the identical f32 operation sequence:
-        //   g' = g + w*wd_coupled
-        //   m  = m*b1 + g'*(1-b1);  v = v*b2 + (g'*g')*(1-b2)
-        //   u  = (m*(1/bc1)) / (sqrt(v*(1/bc2)) + eps) * lr
-        //   w  = w*(1-lr*wd_decoupled) - u
-        let (b1, b2, eps, lr) = (self.beta1, self.beta2, self.eps, self.lr);
-        let (ob1, ob2) = (1.0 - b1, 1.0 - b2);
-        let (rb1, rb2) = (1.0 / bc1, 1.0 / bc2);
-        let coupled_wd = if self.decoupled { 0.0 } else { self.weight_decay };
-        let wd = if self.decoupled { self.lr * self.weight_decay } else { 0.0 };
-        let decay = 1.0 - wd;
-        for i in 0..self.params.len() {
-            let p = &self.params[i];
-            let Some(g) = p.grad_ref() else { continue };
-            let m = &mut self.m[i];
-            let v = &mut self.v[i];
-            p.update_value(|w| {
-                let it = w.data_mut().iter_mut().zip(g.data()).zip(m.data_mut()).zip(v.data_mut());
-                for (((wj, &gj), mj), vj) in it {
-                    let mut gj = gj;
-                    if coupled_wd > 0.0 {
-                        // Classic Adam folds L2 regularization into the
-                        // gradient.
-                        gj += *wj * coupled_wd;
-                    }
-                    let mn = *mj * b1 + gj * ob1;
-                    *mj = mn;
-                    let vn = *vj * b2 + gj * gj * ob2;
-                    *vj = vn;
-                    let upd = mn * rb1 / ((vn * rb2).sqrt() + eps) * lr;
-                    if wd > 0.0 {
-                        // AdamW: decay applied directly to weights,
-                        // decoupled from the adaptive gradient scaling.
-                        *wj *= decay;
-                    }
-                    *wj -= upd;
-                }
-            });
-        }
-    }
-}
-
-/// Adam (Kingma & Ba) with optional coupled L2 regularization.
-pub struct Adam(AdamState);
-
-impl Adam {
-    /// Creates an Adam optimizer.
-    pub fn new(params: Vec<Var>, lr: f32) -> Self {
-        Self(AdamState::new(params, lr, 0.0, false))
-    }
-
-    /// Adam with coupled L2 weight decay.
-    pub fn with_l2(params: Vec<Var>, lr: f32, weight_decay: f32) -> Self {
-        Self(AdamState::new(params, lr, weight_decay, false))
-    }
-}
-
-impl Optimizer for Adam {
-    fn step(&mut self) {
-        self.0.step();
-    }
-
-    fn zero_grad(&self) {
-        for p in &self.0.params {
-            p.zero_grad();
-        }
-    }
-
-    fn parameters(&self) -> &[Var] {
-        &self.0.params
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.0.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.0.lr = lr;
-    }
-}
-
-/// AdamW (Loshchilov & Hutter): Adam with *decoupled* weight decay — the
-/// optimizer the TimeDRL paper uses for all experiments.
-pub struct AdamW(AdamState);
-
-impl AdamW {
-    /// Creates an AdamW optimizer with the given decay.
-    pub fn new(params: Vec<Var>, lr: f32, weight_decay: f32) -> Self {
-        Self(AdamState::new(params, lr, weight_decay, true))
-    }
-
-    /// Copies out the optimizer state (moments + step count) for a
-    /// training checkpoint.
-    pub fn export_state(&self) -> OptimState {
-        OptimState { m: self.0.m.clone(), v: self.0.v.clone(), t: self.0.t }
-    }
-
-    /// Restores state exported by [`AdamW::export_state`]. Counts and
-    /// shapes must match this optimizer's parameters exactly.
-    ///
-    /// # Errors
-    /// Returns a description of the first mismatch; on error the optimizer
-    /// is left unchanged.
-    pub fn import_state(&mut self, state: OptimState) -> Result<(), String> {
-        let n = self.0.params.len();
-        if state.m.len() != n || state.v.len() != n {
-            return Err(format!(
-                "optimizer state has {} m / {} v arrays, expected {n}",
-                state.m.len(),
-                state.v.len()
-            ));
-        }
-        for (i, p) in self.0.params.iter().enumerate() {
-            let shape = p.shape();
-            if state.m[i].shape() != shape.as_slice() || state.v[i].shape() != shape.as_slice() {
-                return Err(format!(
-                    "optimizer state {i}: moment shapes m {:?} / v {:?} vs parameter {:?}",
-                    state.m[i].shape(),
-                    state.v[i].shape(),
-                    shape
-                ));
-            }
-        }
-        self.0.m = state.m;
-        self.0.v = state.v;
-        self.0.t = state.t;
-        Ok(())
-    }
-}
-
-impl Optimizer for AdamW {
-    fn step(&mut self) {
-        self.0.step();
-    }
-
-    fn zero_grad(&self) {
-        for p in &self.0.params {
-            p.zero_grad();
-        }
-    }
-
-    fn parameters(&self) -> &[Var] {
-        &self.0.params
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.0.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.0.lr = lr;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,52 +172,32 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let target = NdArray::from_slice(&[1.0, -2.0, 3.0]);
-        let w = Var::parameter(NdArray::zeros(&[3]));
-        let mut opt = Sgd::new(vec![w.clone()], 0.5, 0.0);
-        assert!(optimize(&mut opt, &w, &target, 100) < 1e-3);
-    }
-
-    #[test]
-    fn momentum_accelerates() {
-        let target = NdArray::from_slice(&[5.0; 8]);
-        let w1 = Var::parameter(NdArray::zeros(&[8]));
-        let w2 = Var::parameter(NdArray::zeros(&[8]));
-        let mut plain = Sgd::new(vec![w1.clone()], 0.05, 0.0);
-        let mut momentum = Sgd::new(vec![w2.clone()], 0.05, 0.9);
-        let d_plain = optimize(&mut plain, &w1, &target, 30);
-        let d_momentum = optimize(&mut momentum, &w2, &target, 30);
-        assert!(d_momentum < d_plain);
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let target = NdArray::from_slice(&[0.5, -0.5]);
         let w = Var::parameter(NdArray::from_slice(&[10.0, -10.0]));
-        let mut opt = Adam::new(vec![w.clone()], 0.3);
+        let mut opt = AdamW::new(vec![w.clone()], 0.3, 0.0);
         assert!(optimize(&mut opt, &w, &target, 200) < 1e-2);
     }
 
     #[test]
     fn adamw_decays_unused_weights() {
-        // A parameter with zero gradient should shrink under AdamW but stay
-        // fixed under Adam-without-decay.
-        let w_adamw = Var::parameter(NdArray::from_slice(&[4.0]));
-        let w_adam = Var::parameter(NdArray::from_slice(&[4.0]));
-        let mut adamw = AdamW::new(vec![w_adamw.clone()], 0.1, 0.1);
-        let mut adam = Adam::new(vec![w_adam.clone()], 0.1);
+        // A parameter with zero gradient should shrink under weight decay
+        // but stay fixed without it.
+        let w_decay = Var::parameter(NdArray::from_slice(&[4.0]));
+        let w_plain = Var::parameter(NdArray::from_slice(&[4.0]));
+        let mut decay = AdamW::new(vec![w_decay.clone()], 0.1, 0.1);
+        let mut plain = AdamW::new(vec![w_plain.clone()], 0.1, 0.0);
         for _ in 0..10 {
             // Provide a zero gradient so only decay acts.
-            w_adamw.backward_with(NdArray::zeros(&[1]));
-            w_adam.backward_with(NdArray::zeros(&[1]));
-            adamw.step();
-            adam.step();
-            adamw.zero_grad();
-            adam.zero_grad();
+            w_decay.backward_with(NdArray::zeros(&[1]));
+            w_plain.backward_with(NdArray::zeros(&[1]));
+            decay.step();
+            plain.step();
+            decay.zero_grad();
+            plain.zero_grad();
         }
-        assert!(w_adamw.to_array().data()[0] < 4.0);
-        assert_eq!(w_adam.to_array().data()[0], 4.0);
+        assert!(w_decay.to_array().data()[0] < 4.0);
+        assert_eq!(w_plain.to_array().data()[0], 4.0);
     }
 
     #[test]

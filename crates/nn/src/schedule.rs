@@ -73,7 +73,7 @@ impl LrSchedule for StepDecay {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optim::Sgd;
+    use crate::optim::AdamW;
     use timedrl_tensor::{NdArray, Var};
 
     #[test]
@@ -117,7 +117,7 @@ mod tests {
     #[test]
     fn schedule_drives_optimizer() {
         let w = Var::parameter(NdArray::zeros(&[1]));
-        let mut opt = Sgd::new(vec![w], 0.0, 0.0);
+        let mut opt = AdamW::new(vec![w], 0.0, 0.0);
         let s = ConstantLr(0.07);
         s.apply(&mut opt, 3);
         assert_eq!(opt.learning_rate(), 0.07);

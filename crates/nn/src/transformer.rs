@@ -13,15 +13,6 @@ use timedrl_tensor::{Prng, Var};
 /// x = LN1(x + Dropout(SelfAttention(x)))
 /// x = LN2(x + Dropout(FFN(x)))          FFN = Linear -> GELU -> Linear
 /// ```
-///
-/// [`with_pre_norm`](Self::with_pre_norm) switches to the pre-norm (GPT-2
-/// style) arrangement, which normalizes *before* each sublayer and leaves
-/// the residual stream un-normalized:
-///
-/// ```text
-/// x = x + Dropout(SelfAttention(LN1(x)))
-/// x = x + Dropout(FFN(LN2(x)))
-/// ```
 pub struct TransformerBlock {
     attn: MultiHeadAttention,
     ln1: LayerNorm,
@@ -29,7 +20,6 @@ pub struct TransformerBlock {
     ff1: Linear,
     ff2: Linear,
     dropout: f32,
-    pre_norm: bool,
 }
 
 impl TransformerBlock {
@@ -42,41 +32,21 @@ impl TransformerBlock {
             ff1: Linear::new(d_model, d_ff, rng),
             ff2: Linear::new(d_ff, d_model, rng),
             dropout,
-            pre_norm: false,
         }
-    }
-
-    /// Switches this block to the pre-norm sublayer arrangement.
-    pub fn with_pre_norm(mut self) -> Self {
-        self.pre_norm = true;
-        self
     }
 
     /// Applies the block to `[B, T, D]` input.
     pub fn forward(&self, x: &Var, ctx: &mut Ctx) -> Var {
-        if self.pre_norm {
-            let attn_out = self
-                .attn
-                .forward(&self.ln1.forward(x), ctx)
-                .dropout(self.dropout, ctx.training, &mut ctx.rng);
-            let x = x.add(&attn_out);
-            let ff = self
-                .ff2
-                .forward(&self.ff1.forward(&self.ln2.forward(&x)).gelu())
-                .dropout(self.dropout, ctx.training, &mut ctx.rng);
-            x.add(&ff)
-        } else {
-            let attn_out = self
-                .attn
-                .forward(x, ctx)
-                .dropout(self.dropout, ctx.training, &mut ctx.rng);
-            let x = self.ln1.forward(&x.add(&attn_out));
-            let ff = self
-                .ff2
-                .forward(&self.ff1.forward(&x).gelu())
-                .dropout(self.dropout, ctx.training, &mut ctx.rng);
-            self.ln2.forward(&x.add(&ff))
-        }
+        let attn_out = self
+            .attn
+            .forward(x, ctx)
+            .dropout(self.dropout, ctx.training, &mut ctx.rng);
+        let x = self.ln1.forward(&x.add(&attn_out));
+        let ff = self
+            .ff2
+            .forward(&self.ff1.forward(&x).gelu())
+            .dropout(self.dropout, ctx.training, &mut ctx.rng);
+        self.ln2.forward(&x.add(&ff))
     }
 }
 

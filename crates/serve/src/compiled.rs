@@ -1,12 +1,13 @@
-//! Tape-free compiled inference: a frozen `TimeDrl` encoder lowered to a
-//! flat op plan over plain [`NdArray`] kernels.
+//! Tape-free compiled inference: a frozen `TimeDrl` encoder run as one
+//! straight-line forward over plain [`NdArray`] kernels.
 //!
 //! The training-time forward pass builds a `Var` tape — one `Rc` graph
 //! node per op — even in eval mode, where no gradient will ever flow.
 //! [`CompiledModel`] strips that away: at load it resolves every
-//! batch-independent shape, validates the checkpoint against the declared
-//! architecture, and lowers the encoder to a [`PlanOp`] list. Execution
-//! walks that list calling the *same* packed [`matmul`] kernels and
+//! batch-independent shape and validates the checkpoint against the
+//! declared architecture. Execution is normalize-and-patch, token
+//! embedding, then attention and feed-forward per block, then the
+//! `z_i`/`z_t` split, calling the *same* packed [`matmul`] kernels and
 //! broadcast arithmetic the tape path calls on its values — attention in
 //! particular lowers to the fused tiled kernel ([`attention_fused`],
 //! DESIGN.md §17), which is bitwise-equal to the composed
@@ -31,26 +32,6 @@ use timedrl_tensor::{
 };
 
 const EPS: f32 = 1e-5;
-
-/// One step of the flat execution plan, in evaluation order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanOp {
-    /// Instance-normalize each `[T, C]` window and patch it into
-    /// `[B, T_p, C·P]` tokens (Eq. 1).
-    NormPatch,
-    /// Prepend the `[CLS]` token, apply the linear token encoding, add the
-    /// positional encoding: `[B, 1+T_p, D]` (Eqs. 2–3).
-    EmbedTokens,
-    /// Multi-head self-attention sublayer of block `i`, post-norm residual
-    /// (`LN1(x + Attn(x))`).
-    Attention(usize),
-    /// Feed-forward sublayer of block `i`, post-norm residual
-    /// (`LN2(x + FF(x))`).
-    FeedForward(usize),
-    /// Pool the instance embedding `z_i` and slice the timestamp
-    /// embeddings `z_t` off the final token sequence (Eqs. 4–5).
-    Split,
-}
 
 /// The frozen output of one embedding request.
 #[derive(Debug, Clone)]
@@ -113,7 +94,7 @@ struct Block {
 }
 
 /// A frozen, tape-free TimeDRL encoder: shapes resolved at load, weights
-/// owned as plain arrays, execution driven by a flat [`PlanOp`] list.
+/// owned as plain arrays, executed as one straight-line forward.
 pub struct CompiledModel {
     input_len: usize,
     n_features: usize,
@@ -135,11 +116,10 @@ pub struct CompiledModel {
     /// fused kernel applies the mask per tile; no `[S, S]` constant exists.
     causal: bool,
     /// Timestamp-predictive head `p_θ` (`[D, C·P]` weight + `[C·P]` bias) —
-    /// not part of the embedding plan, but the streaming anomaly scorer
+    /// not part of the embedding forward, but the streaming anomaly scorer
     /// reconstructs patches through it.
     pred_w: Weight,
     pred_b: NdArray,
-    plan: Vec<PlanOp>,
 }
 
 /// Pops the next array and checks its shape against the architecture.
@@ -247,13 +227,6 @@ impl CompiledModel {
         take(&mut it, "contrast.l2.w", &[hidden, d])?;
         take(&mut it, "contrast.l2.b", &[d])?;
 
-        let mut plan = vec![PlanOp::NormPatch, PlanOp::EmbedTokens];
-        for l in 0..layers {
-            plan.push(PlanOp::Attention(l));
-            plan.push(PlanOp::FeedForward(l));
-        }
-        plan.push(PlanOp::Split);
-
         Ok(Self {
             input_len: cfg.input_len,
             n_features: cfg.n_features,
@@ -274,7 +247,6 @@ impl CompiledModel {
             causal,
             pred_w,
             pred_b,
-            plan,
         })
     }
 
@@ -330,11 +302,6 @@ impl CompiledModel {
         self.pooling.output_dim(self.d, self.t_p)
     }
 
-    /// The flat execution plan, in order.
-    pub fn plan(&self) -> &[PlanOp] {
-        &self.plan
-    }
-
     /// Runs one forward at batch size `batch` against zeros, pre-sizing
     /// every pool bucket the real execution will request. After warming a
     /// batch size, requests at that size allocate nothing.
@@ -361,10 +328,10 @@ impl CompiledModel {
     }
 
     /// Embeds an already instance-normalized, patched `[B, T_p, C·P]`
-    /// batch — the plan from `EmbedTokens` onward. This is the streaming
+    /// batch — the forward from token embedding onward. This is the streaming
     /// engine's entry point: it maintains its own window statistics
     /// incrementally and normalizes cached patch tokens itself, then runs
-    /// the identical transformer plan, so a streaming hop with exact
+    /// the identical transformer forward, so a streaming hop with exact
     /// statistics is bitwise-equal to [`CompiledModel::embed`] on the
     /// materialized window.
     pub fn embed_patched(&self, patched: &NdArray) -> Result<Embeddings> {
@@ -379,16 +346,11 @@ impl CompiledModel {
             return Err(ServeError::BadRequest("empty batch".into()));
         }
         let mut h = self.embed_tokens(patched)?;
-        for op in &self.plan {
-            match *op {
-                // Input already normalized + patched + token-embedded.
-                PlanOp::NormPatch | PlanOp::EmbedTokens => {}
-                PlanOp::Attention(i) => h = self.attention(i, &h)?,
-                PlanOp::FeedForward(i) => h = self.feed_forward(i, &h)?,
-                PlanOp::Split => return self.split(&h),
-            }
+        for i in 0..self.blocks.len() {
+            h = self.attention(i, &h)?;
+            h = self.feed_forward(i, &h)?;
         }
-        unreachable!("plan always terminates in Split")
+        self.split(&h)
     }
 
     /// The timestamp-predictive head's reconstruction of the patched input

@@ -4,10 +4,10 @@
 //! The training stack runs every forward through the `Var` autograd tape;
 //! this crate serves embeddings without one. [`CompiledModel`] loads a
 //! `KIND_MODEL` checkpoint container (written by `TimeDrl::export`),
-//! resolves all shapes once, lowers the encoder to a flat [`PlanOp`]
-//! list, and executes it with the same packed kernels the tape calls —
-//! making its `z_i`/`z_t` bitwise-identical to the eval-mode tape forward
-//! while performing **zero heap allocations per request** once the
+//! resolves all shapes once, and runs the encoder as one straight-line
+//! forward with the same packed kernels the tape calls — making its
+//! `z_i`/`z_t` bitwise-identical to the eval-mode tape forward while
+//! performing **zero heap allocations per request** once the
 //! tensor-pool arena is warm.
 //!
 //! Around that core:
@@ -34,6 +34,6 @@ pub mod server;
 
 pub use batcher::Batcher;
 pub use cache::{window_hash, EmbedCache};
-pub use compiled::{CompiledModel, Embeddings, PlanOp};
+pub use compiled::{CompiledModel, Embeddings};
 pub use error::{Result, ServeError};
 pub use server::{serve_stream, serve_tcp, ServeConfig, ServeStats};

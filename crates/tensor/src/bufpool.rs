@@ -1,6 +1,6 @@
 //! Size-bucketed buffer pool for `f32` tensor storage.
 //!
-//! Every [`NdArray`](crate::NdArray) owns its data through a [`Buffer`]: a
+//! Every [`NdArray`](crate::NdArray) owns its data through a `Buffer`: a
 //! `Vec<f32>` that, when dropped, returns to a thread-local free-list
 //! instead of the heap. Steady-state training steps therefore recycle the
 //! same handful of blocks over and over and perform near-zero new heap
@@ -8,8 +8,9 @@
 //! DESIGN.md §10).
 //!
 //! Determinism contract: a checked-out buffer is indistinguishable from a
-//! fresh `vec![0.0; len]` — [`take_zeroed`] re-zeroes recycled storage, and
-//! [`take_empty`] hands back a cleared `Vec` for push-style construction.
+//! fresh `vec![0.0; len]` — `Buffer::zeroed` re-zeroes recycled storage,
+//! and `Buffer::with_capacity` hands back a cleared `Vec` for push-style
+//! construction.
 //! No stale data is ever observable, so warm-pool and cold-pool runs are
 //! bit-identical (property-tested in the determinism suite).
 //!

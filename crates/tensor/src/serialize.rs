@@ -10,7 +10,7 @@
 //!
 //! The payload starts with a `u32` *kind* tag ([`KIND_ARRAYS`] for plain
 //! array lists, [`KIND_TRAIN_STATE`] for the trainer's full snapshot) and
-//! is covered end-to-end by an IEEE CRC-32 ([`testkit::crc32`]). An array
+//! is covered end-to-end by an IEEE CRC-32 ([`testkit::crc32()`]). An array
 //! list is encoded as:
 //!
 //! ```text

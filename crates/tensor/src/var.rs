@@ -72,7 +72,6 @@ enum Backward {
     CrossEntropy { probs: NdArray, targets: Vec<usize> },
     Dropout { mask: NdArray },
     Attention { scale: f32, causal: bool, mask: Option<NdArray> },
-    MaeLoss { target: NdArray, n: f32 },
     Custom(Box<dyn Fn(&NdArray) -> Vec<NdArray>>),
 }
 
@@ -327,14 +326,6 @@ impl Backward {
                 let (dq, dk, dv) =
                     attention_fused_backward(&q, &k, &v, g, *scale, *causal, mask.as_ref())?;
                 Grads::many(vec![dq, dk, dv])
-            }
-            Backward::MaeLoss { target, n } => {
-                let s = g.to_scalar() / n;
-                Grads::one(
-                    parent(0)
-                        .zip_map(target, |a, b| if a >= b { s } else { -s })
-                        .expect("mae grad"),
-                )
             }
             Backward::Custom(f) => Grads::many(f(g)),
         })
@@ -859,14 +850,6 @@ impl Var {
         diff.mul(&diff).mean()
     }
 
-    /// Mean absolute error against a constant target (rank-0 result).
-    pub fn mae_loss(&self, target: &NdArray) -> Var {
-        let t = target.clone();
-        let n = self.value().numel() as f32;
-        let loss = self.value().zip_map(&t, |a, b| (a - b).abs()).expect("mae shapes").mean();
-        Var::op(NdArray::scalar(loss), Parents::one(self.clone()), Backward::MaeLoss { target: t, n })
-    }
-
     /// Row-wise cosine similarity between `self` and `other`, both
     /// `[N, D]`; returns the mean similarity as a rank-0 node. TimeDRL's
     /// contrastive loss is the *negative* of this (Eq. 16–18).
@@ -1265,16 +1248,6 @@ mod tests {
         assert!((loss.item() - 2.5).abs() < 1e-6);
         loss.backward();
         assert_eq!(grad_of(&x).data(), &[1.0, 2.0]); // 2(x-t)/n
-    }
-
-    #[test]
-    fn mae_loss_grad_is_sign() {
-        let x = Var::parameter(NdArray::from_slice(&[2.0, -3.0]));
-        let t = NdArray::zeros(&[2]);
-        let loss = x.mae_loss(&t);
-        assert!((loss.item() - 2.5).abs() < 1e-6);
-        loss.backward();
-        assert_eq!(grad_of(&x).data(), &[0.5, -0.5]);
     }
 
     #[test]

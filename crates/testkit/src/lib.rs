@@ -8,16 +8,16 @@
 //!   integer, and permutation sampling (replaces `rand`). This is the
 //!   *production* randomness source: `timedrl_tensor::Prng` wraps it, so
 //!   every experiment in the repo is bit-reproducible given its seed.
-//! - [`prop`] + the [`prop!`] macro — a minimal property-testing harness
+//! - [`mod@prop`] + the [`prop!`] macro — a minimal property-testing harness
 //!   (replaces `proptest`): generator combinators, a fixed default seed
 //!   derived per test, and seeded shrinking-free replay via the
 //!   `TESTKIT_SEED` environment variable.
 //! - [`json`] — a small JSON value type with writer and parser (replaces
 //!   `serde`/`serde_json`), plus the [`impl_to_json!`] macro standing in
 //!   for `#[derive(Serialize)]` on result-record structs.
-//! - [`bench`] — a wall-clock benchmark runner (warmup + N samples +
+//! - [`mod@bench`] — a wall-clock benchmark runner (warmup + N samples +
 //!   min/median/p95 report) that replaces the `criterion` benches.
-//! - [`crc32`] — CRC-32 (IEEE) checksums guarding the checkpoint container
+//! - [`mod@crc32`] — CRC-32 (IEEE) checksums guarding the checkpoint container
 //!   format in `timedrl-tensor::serialize` against torn writes and bit rot.
 //! - [`pool`] — a scoped thread pool with deterministic chunked fan-out
 //!   (replaces `rayon`): fixed, index-ordered chunks writing to disjoint

@@ -4,8 +4,8 @@
 //! ## Model
 //!
 //! A *generator* ([`Gen`]) turns a [`TestRng`] stream into a value; ranges
-//! of primitive types are generators out of the box, and [`Gen::map`],
-//! [`Gen::flat_map`], [`vec_of`], and [`from_fn`] compose them. The
+//! of primitive types are generators out of the box, and [`Gen::prop_map`],
+//! [`Gen::prop_flat_map`], [`vec_of`], and [`from_fn`] compose them. The
 //! [`prop!`](crate::prop!) macro wraps each property in a `#[test]` that
 //! runs `cases` generated inputs through the body.
 //!
