@@ -14,8 +14,7 @@ use testkit::pool;
 use testkit::{Bench, Json};
 use timedrl_nn::Conv1d;
 use timedrl_tensor::{
-    attention_fused, attention_reference, matmul, matmul_nt, matmul_q8, matmul_tn,
-    quantize_per_channel, Prng, Var,
+    attention_fused, attention_reference, matmul, matmul_nt, matmul_tn, Prng, Var,
 };
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -67,28 +66,6 @@ fn bench_matmul_transposed_threads(b: &mut Bench, records: &mut Vec<Record>) {
             pool::with_threads(threads, || matmul_tn(&a, &bm).unwrap())
         });
         record(records, "matmul_tn_256", "256x256x256", threads, report);
-    }
-    group.finish();
-}
-
-/// The relaxed-exactness serving kernel (DESIGN.md §15) at the same scale
-/// as `matmul_256` — the acceptance gate compares `matmul_q8_256` t1 against
-/// `matmul_256` t1 (≥2× single-thread inference GEMM throughput). Weights
-/// are quantized *outside* the timed region, matching the serving scenario
-/// where `quantize_per_channel` runs once at model-load time; dynamic
-/// per-row activation quantization stays inside, as it does per request.
-fn bench_relaxed_threads(b: &mut Bench, records: &mut Vec<Record>) {
-    let mut rng = Prng::new(4);
-    let a = rng.randn(&[256, 256]);
-    let bm = rng.randn(&[256, 256]);
-    let qb = quantize_per_channel(&bm).unwrap();
-
-    let mut group = b.group("matmul_q8_256");
-    for &threads in &THREAD_COUNTS {
-        let report = group.bench(format!("t{threads}"), || {
-            pool::with_threads(threads, || matmul_q8(&a, &qb).unwrap())
-        });
-        record(records, "matmul_q8_256", "256x256x256", threads, report);
     }
     group.finish();
 }
@@ -171,9 +148,10 @@ fn out_path() -> std::path::PathBuf {
 }
 
 /// Detected SIMD features, recorded in the baseline so cross-host numbers
-/// are interpretable: `matmul_q8_256` silently falls back to its scalar
-/// core without `avx2` — a reader comparing hosts needs to know which
-/// kernels ran.
+/// are interpretable: the exact GEMM microkernel under every `matmul_*` and
+/// attention row here dispatches to its AVX2 instantiation only where `avx2`
+/// is detected, and runs its portable one otherwise (same bits, different
+/// speed) — a reader comparing hosts needs to know which one ran.
 fn cpu_features() -> Vec<Json> {
     let mut feats: Vec<&str> = Vec::new();
     #[cfg(target_arch = "x86_64")]
@@ -198,7 +176,6 @@ fn main() {
     let mut records = Vec::new();
     bench_matmul_threads(&mut b, &mut records);
     bench_matmul_transposed_threads(&mut b, &mut records);
-    bench_relaxed_threads(&mut b, &mut records);
     bench_attention_threads(&mut b, &mut records);
     bench_conv1d_threads(&mut b, &mut records);
     bench_elementwise_threads(&mut b, &mut records);

@@ -5,7 +5,6 @@
 //! probe resume straight <model-out> | phase1 <state-out> | phase2 <state-in> <model-out>
 //! probe step_alloc
 //! probe attn
-//! probe quant
 //! probe shard prepare <shard-dir>
 //!           | worker <shard-dir> <run-dir> <w> <n> [--die-at-step K]
 //!           | run <shard-dir> <run-dir> <n> <model-out>
@@ -18,9 +17,9 @@
 //! the exit code: 0 pass, 1 a failed check, 2 a usage error, 3 the typed
 //! precision-mismatch refusal of `serve check`. The `key=value` lines on
 //! stdout are for people reading the log; no gate parses them. Run the
-//! allocation-counting subcommands (`step_alloc`, `quant`, `serve check`,
-//! `stream`) with `TIMEDRL_THREADS=1`, so the count does not depend on how
-//! many pool workers the host spawns.
+//! allocation-counting subcommands (`step_alloc`, `serve check`, `stream`)
+//! with `TIMEDRL_THREADS=1`, so the count does not depend on how many pool
+//! workers the host spawns.
 
 use std::path::Path;
 use std::process::{Child, Command, ExitCode};
@@ -32,7 +31,6 @@ use timedrl::trainer::pretrain;
 use timedrl::{decode_model_export, encode_model_export, Precision, TimeDrl, TimeDrlConfig};
 use timedrl_bench::step::{probe_config, sine_windows, StepHarness};
 use timedrl_data::{PatchConfig, ShardWriter};
-use timedrl_eval::{classification_report, mse, LogisticConfig, LogisticProbe, RidgeProbe};
 use timedrl_nn::Ctx;
 use timedrl_serve::{protocol, CompiledModel, ServeError};
 use timedrl_stream::{OnlineAnomalyScorer, StreamUpdate, StreamingEncoder};
@@ -40,7 +38,7 @@ use timedrl_tensor::{attention_fused, attention_reference, NdArray, Prng, Var};
 
 /// Printed on a usage error; the module docs list each subcommand's arguments.
 const USAGE: &str =
-    "usage: probe <pretrain_checkpoint|resume|step_alloc|attn|quant|shard|serve|stream> [args]";
+    "usage: probe <pretrain_checkpoint|resume|step_alloc|attn|shard|serve|stream> [args]";
 
 /// Why a probe did not pass; each variant has its own exit code.
 enum Failure {
@@ -48,7 +46,7 @@ enum Failure {
     Usage,
     /// A violated check or budget: exit 1.
     Check(String),
-    /// The typed refusal to byte-compare a relaxed-tier response: exit 3.
+    /// The typed refusal to byte-compare a response tagged relaxed: exit 3.
     Refused(ServeError),
 }
 
@@ -86,8 +84,7 @@ fn check_bits(a: &NdArray, b: &NdArray, what: &str) -> Outcome {
 const WINDOW: usize = 16;
 const PATCH: usize = 4;
 
-/// The two-layer d8 model the serving, quantization and streaming gates
-/// serve.
+/// The two-layer d8 model the serving and streaming gates serve.
 fn d8_model(seed: u64) -> TimeDrl {
     let mut cfg = TimeDrlConfig::forecasting(WINDOW);
     cfg.patch = PatchConfig::non_overlapping(PATCH);
@@ -99,11 +96,11 @@ fn d8_model(seed: u64) -> TimeDrl {
     TimeDrl::new(cfg)
 }
 
-/// Exports `model` in memory and compiles the export at `precision`.
-fn compile(model: &TimeDrl, precision: Precision) -> CompiledModel {
+/// Exports `model` in memory and compiles the export.
+fn compile(model: &TimeDrl) -> CompiledModel {
     let payload = encode_model_export(model);
     let export = decode_model_export(&payload[4..]).expect("fixture export");
-    CompiledModel::from_export_with(export, precision).expect("fixture compile")
+    CompiledModel::from_export(export).expect("fixture compile")
 }
 
 // ---------------------------------------------------------------------------
@@ -309,114 +306,6 @@ fn attn(args: &[&str]) -> Outcome {
 }
 
 // ---------------------------------------------------------------------------
-// quant: does int8 quantized serving (DESIGN.md §15) change the answers that
-// matter? Fits the paper's linear readouts on exact- and relaxed-tier
-// embeddings of one dataset and requires classification accuracy and
-// forecast MSE to agree within ε; a warmed relaxed request must perform zero
-// heap allocations, same as exact.
-// ---------------------------------------------------------------------------
-
-/// Dataset geometry: `QUANT_N` windows of `WINDOW` ticks with the next
-/// `HORIZON` ticks as the forecast target, the first `QUANT_TRAIN` for
-/// fitting.
-const QUANT_N: usize = 96;
-const QUANT_TRAIN: usize = 64;
-const HORIZON: usize = 4;
-
-/// Tier-agreement budgets. Quantization perturbs each embedding by well
-/// under 1% (see the `relaxed` serve suite); after a linear readout the
-/// *metric* drift stays far smaller than these, and anything beyond them
-/// means the relaxed tier is changing answers, not rounding them.
-const ACC_EPS: f32 = 0.05;
-const MSE_REL_EPS: f32 = 0.10;
-
-/// Synthetic but *learnable* data: per-window sinusoids whose frequency
-/// carries the class label and whose continuation is the forecast target.
-fn quant_dataset() -> (NdArray, NdArray, Vec<usize>) {
-    let (n_all, span) = (QUANT_N, WINDOW + HORIZON);
-    let mut rng = Prng::new(42);
-    let params = rng.randn(&[n_all, 2]);
-    let noise = rng.randn(&[n_all, span]);
-    let mut series = vec![0.0f32; n_all * span];
-    let mut labels = Vec::with_capacity(n_all);
-    for n in 0..n_all {
-        let r = params.data()[n * 2];
-        let freq = 0.1 + 0.4 / (1.0 + (-r).exp());
-        let phase = params.data()[n * 2 + 1];
-        labels.push(usize::from(freq > 0.3));
-        for t in 0..span {
-            series[n * span + t] = (std::f32::consts::TAU * freq * t as f32 + phase).sin()
-                + 0.1 * noise.data()[n * span + t];
-        }
-    }
-    let mut windows = NdArray::zeros(&[n_all, WINDOW, 1]);
-    let mut targets = NdArray::zeros(&[n_all, HORIZON]);
-    for n in 0..n_all {
-        windows.data_mut()[n * WINDOW..(n + 1) * WINDOW]
-            .copy_from_slice(&series[n * span..n * span + WINDOW]);
-        targets.data_mut()[n * HORIZON..(n + 1) * HORIZON]
-            .copy_from_slice(&series[n * span + WINDOW..(n + 1) * span]);
-    }
-    (windows, targets, labels)
-}
-
-/// Linear-evaluation `(accuracy, forecast MSE)` on one tier's embeddings.
-fn readout_metrics(z_i: &NdArray, targets: &NdArray, labels: &[usize]) -> (f32, f32) {
-    let split = |a: &NdArray| {
-        (
-            a.slice(0, 0, QUANT_TRAIN).unwrap(),
-            a.slice(0, QUANT_TRAIN, QUANT_N - QUANT_TRAIN).unwrap(),
-        )
-    };
-    let ((z_train, z_test), (y_train, y_test)) = (split(z_i), split(targets));
-    let ridge = RidgeProbe::fit(&z_train, &y_train, 1.0);
-    let fmse = mse(&ridge.predict(&z_test), &y_test);
-    let logistic =
-        LogisticProbe::fit(&z_train, &labels[..QUANT_TRAIN], 2, &LogisticConfig::default(), 9);
-    let acc = classification_report(&logistic.predict(&z_test), &labels[QUANT_TRAIN..], 2).accuracy;
-    (acc, fmse)
-}
-
-fn quant(args: &[&str]) -> Outcome {
-    let [] = args else { return Err(Failure::Usage) };
-    let model = d8_model(11);
-    let (windows, targets, labels) = quant_dataset();
-    let exact = compile(&model, Precision::Exact);
-    let relaxed = compile(&model, Precision::Relaxed);
-    let z_exact = exact.embed(&windows).map_err(fail)?.z_i;
-    let z_relaxed = relaxed.embed(&windows).map_err(fail)?.z_i;
-    let (acc_exact, mse_exact) = readout_metrics(&z_exact, &targets, &labels);
-    let (acc_relaxed, mse_relaxed) = readout_metrics(&z_relaxed, &targets, &labels);
-    println!("accuracy_exact={acc_exact} accuracy_relaxed={acc_relaxed}");
-    println!("mse_exact={mse_exact} mse_relaxed={mse_relaxed}");
-
-    let probe = Prng::new(7).randn(&[3, WINDOW, 1]);
-    relaxed.warm(3);
-    relaxed.warm(3);
-    let (result, allocs) = count_allocations(|| relaxed.embed(&probe));
-    result.map_err(fail)?;
-    println!("relaxed_allocs_per_request={allocs}");
-
-    let mut failures = Vec::new();
-    let acc_drift = (acc_exact - acc_relaxed).abs();
-    if acc_drift > ACC_EPS {
-        failures.push(format!("accuracy drifts {acc_drift} > {ACC_EPS}"));
-    }
-    let mse_drift = (mse_exact - mse_relaxed).abs() / mse_exact.max(1e-6);
-    if mse_drift > MSE_REL_EPS {
-        failures.push(format!("forecast MSE drifts {mse_drift} > {MSE_REL_EPS} (relative)"));
-    }
-    if allocs != 0 {
-        failures.push(format!("warmed relaxed request allocates {allocs} blocks, budget is 0"));
-    }
-    if !failures.is_empty() {
-        return Err(fail(failures.join("; ")));
-    }
-    println!("quality=ok");
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
 // shard: multi-process determinism and crash recovery of sharded pretraining
 // across real OS processes (DESIGN.md §16). `prepare` writes the series as
 // a 5-shard split; `worker` runs one worker, and with `--die-at-step K`
@@ -536,8 +425,9 @@ fn shard(args: &[&str]) -> Outcome {
 // for bit, a warmed request to perform zero heap allocations, and — when
 // `ci.sh` has piped the requests through the real `embed_server` into
 // `response.bin` — every response to carry the golden bytes. Goldens are
-// exact-tier bytes, so a relaxed model or response is refused with the typed
-// `PrecisionMismatch` (exit 3), not reported as a byte diff.
+// exact-tier bytes, so a response frame tagged relaxed (input from outside
+// the program: this server writes only exact frames) is refused with the
+// typed `PrecisionMismatch` (exit 3), not reported as a byte diff.
 // ---------------------------------------------------------------------------
 
 /// Fixture batch size; `check` warms and measures at exactly this size.
@@ -586,7 +476,6 @@ fn serve_prepare(dir: &Path) -> std::io::Result<()> {
 fn serve_check(dir: &Path) -> Outcome {
     let model = CompiledModel::load(dir.join("model.tdrl"))
         .map_err(|e| fail(format!("cannot load fixture model: {e}")))?;
-    refuse_relaxed(model.precision())?;
     let windows = serve_windows();
     model.warm(SERVE_BATCH);
     model.warm(SERVE_BATCH);
@@ -683,9 +572,8 @@ fn feed(
 fn stream(args: &[&str]) -> Outcome {
     let [] = args else { return Err(Failure::Usage) };
     let model = d8_model(7);
-    let compiled = compile(&model, Precision::Exact);
-    let mut engine =
-        StreamingEncoder::new(compile(&model, Precision::Exact), RECOMPUTE_EVERY).map_err(fail)?;
+    let compiled = compile(&model);
+    let mut engine = StreamingEncoder::new(compile(&model), RECOMPUTE_EVERY).map_err(fail)?;
     let mut scorer = OnlineAnomalyScorer::new(0.9, 4, Some(8)).map_err(fail)?;
 
     // A generous deterministic series: fill + warm hops + measured span.
@@ -739,7 +627,6 @@ fn main() -> ExitCode {
         "resume" => resume(rest),
         "step_alloc" => step_alloc(rest),
         "attn" => attn(rest),
-        "quant" => quant(rest),
         "shard" => shard(rest),
         "serve" => serve(rest),
         "stream" => stream(rest),

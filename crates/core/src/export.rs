@@ -15,6 +15,10 @@
 //! arrays section (u32 count, then each array — stable parameters() order)
 //! ```
 //!
+//! Writers always stamp precision tag 0 (exact). Readers accept tag 1 too,
+//! which artifacts from the retired relaxed serving tier carry; such an
+//! artifact's arrays are plain f32 and it serves exact (DESIGN.md §15).
+//!
 //! Only the fields that shape the frozen forward pass are encoded;
 //! training-only knobs (dropout rate, λ, optimizer settings) are
 //! irrelevant in eval mode and reconstructed as inert defaults. The frame
@@ -36,24 +40,22 @@ fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// Inference exactness tier of a deployment artifact (DESIGN.md §15).
+/// Exactness tier named by the `u32` precision tag in export headers and
+/// wire responses (DESIGN.md §15).
 ///
-/// The tier is a property of the *artifact*, not of the host: an export
-/// tagged [`Precision::Relaxed`] opts its serving process into the
-/// quantized/FMA kernel lowering, and every response derived from it is
-/// tagged accordingly on the wire so downstream consumers can never
-/// mistake relaxed embeddings for bit-exact ones.
+/// Every forward this crate and `timedrl-serve` run is [`Precision::Exact`].
+/// [`Precision::Relaxed`] stays so that tag 1 still decodes: artifacts
+/// written by the retired relaxed tier load (and serve exact), and a client
+/// comparing bytes can still name and refuse a frame tagged relaxed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Precision {
     /// The bit-exactness contract of DESIGN.md §10: identical results to
     /// the training tape, thread-count invariant, byte-comparable against
-    /// goldens. The default — relaxed serving is strictly opt-in.
+    /// goldens.
     #[default]
     Exact,
-    /// Relaxed-exactness serving: linear layers run the int8 per-channel
-    /// quantized GEMM and activation products the FMA kernels. Results are
-    /// deterministic for a given artifact and host, but are *not* bit-equal
-    /// to the exact tier and must never be compared against exact goldens.
+    /// Tag 1, written by the retired int8/FMA serving tier. Its results
+    /// were not bit-equal to the exact tier.
     Relaxed,
 }
 
@@ -90,8 +92,6 @@ pub struct ModelExport {
     pub config: TimeDrlConfig,
     /// Parameter arrays, in the same order `TimeDrl::parameters` yields.
     pub arrays: Vec<NdArray>,
-    /// Exactness tier this artifact opts its serving process into.
-    pub precision: Precision,
 }
 
 impl ModelExport {
@@ -133,15 +133,10 @@ fn pooling_tag(p: Pooling) -> u32 {
     Pooling::ALL.iter().position(|q| *q == p).expect("pooling in ALL") as u32
 }
 
-/// Encodes the full export payload (kind tag + header + arrays) for a
-/// model at the default [`Precision::Exact`] tier. Exposed separately from
-/// [`export_model`] so tests can corrupt the bytes in memory.
+/// Encodes the full export payload (kind tag + header + arrays), tagged
+/// [`Precision::Exact`]. Exposed separately from [`export_model`] so tests
+/// can corrupt the bytes in memory.
 pub fn encode_model_export(model: &TimeDrl) -> Vec<u8> {
-    encode_model_export_with(model, Precision::default())
-}
-
-/// Encodes the full export payload with an explicit exactness tier.
-pub fn encode_model_export_with(model: &TimeDrl, precision: Precision) -> Vec<u8> {
     let cfg = model.config();
     let mut payload = Vec::new();
     payload.extend_from_slice(&KIND_MODEL.to_le_bytes());
@@ -159,7 +154,7 @@ pub fn encode_model_export_with(model: &TimeDrl, precision: Precision) -> Vec<u8
     }
     payload.extend_from_slice(&encoder_tag(cfg.encoder).to_le_bytes());
     payload.extend_from_slice(&pooling_tag(cfg.pooling).to_le_bytes());
-    payload.extend_from_slice(&precision.tag().to_le_bytes());
+    payload.extend_from_slice(&Precision::Exact.tag().to_le_bytes());
     let arrays: Vec<NdArray> = model.parameters().iter().map(|p| p.to_array()).collect();
     let refs: Vec<&NdArray> = arrays.iter().collect();
     encode_arrays(&mut payload, &refs);
@@ -169,6 +164,8 @@ pub fn encode_model_export_with(model: &TimeDrl, precision: Precision) -> Vec<u8
 /// Decodes an export payload body (kind tag already consumed by the
 /// container reader). Every header field and array is bounds-checked; a
 /// corrupt header yields `InvalidData`, never a panic or over-allocation.
+/// The precision tag must name a [`Precision`]; either tier decodes to the
+/// same f32 export.
 pub fn decode_model_export(payload: &[u8]) -> io::Result<ModelExport> {
     let mut r = ByteReader::new(payload);
     let mut dims = [0usize; 8];
@@ -186,8 +183,7 @@ pub fn decode_model_export(payload: &[u8]) -> io::Result<ModelExport> {
         .get(pool as usize)
         .ok_or_else(|| invalid(format!("unknown pooling tag {pool}")))?;
     let prec = r.u32()?;
-    let precision =
-        Precision::from_tag(prec).ok_or_else(|| invalid(format!("unknown precision tag {prec}")))?;
+    Precision::from_tag(prec).ok_or_else(|| invalid(format!("unknown precision tag {prec}")))?;
     let config = TimeDrlConfig {
         input_len,
         n_features,
@@ -219,25 +215,13 @@ pub fn decode_model_export(payload: &[u8]) -> io::Result<ModelExport> {
     config.check().map_err(|msg| invalid(format!("export header invalid: {msg}")))?;
     let arrays = decode_arrays(&mut r)?;
     r.finish()?;
-    Ok(ModelExport { config, arrays, precision })
+    Ok(ModelExport { config, arrays })
 }
 
 /// Atomically writes a model's self-describing export container to `path`
-/// (temp file + fsync + rename, like every other checkpoint writer) at the
-/// default [`Precision::Exact`] tier.
+/// (temp file + fsync + rename, like every other checkpoint writer).
 pub fn export_model(path: impl AsRef<Path>, model: &TimeDrl) -> io::Result<()> {
     write_file_atomic(path, &encode_model_export(model))
-}
-
-/// Atomically writes an export container with an explicit exactness tier.
-/// Tagging an artifact [`Precision::Relaxed`] is the opt-in that lets its
-/// serving process lower linear layers onto the quantized/FMA kernels.
-pub fn export_model_with(
-    path: impl AsRef<Path>,
-    model: &TimeDrl,
-    precision: Precision,
-) -> io::Result<()> {
-    write_file_atomic(path, &encode_model_export_with(model, precision))
 }
 
 /// Reads and validates a `KIND_MODEL` export container from `path`.
@@ -275,7 +259,6 @@ mod tests {
         assert_eq!(export.config.d_model, 8);
         assert_eq!(export.config.encoder, EncoderKind::TransformerEncoder);
         assert_eq!(export.config.pooling, Pooling::Cls);
-        assert_eq!(export.precision, Precision::Exact);
         let params = model.parameters();
         assert_eq!(export.arrays.len(), params.len());
         for (p, a) in params.iter().zip(&export.arrays) {
@@ -329,10 +312,16 @@ mod tests {
 
     #[test]
     fn relaxed_precision_round_trips() {
+        // Tag 1, written by the retired relaxed tier, still decodes, and to
+        // the same f32 arrays as tag 0.
         let model = tiny_model();
-        let payload = encode_model_export_with(&model, Precision::Relaxed);
+        let mut payload = encode_model_export(&model);
+        // Kind (4) + dims (64) + encoder and pooling tags (8).
+        payload[76..80].copy_from_slice(&Precision::Relaxed.tag().to_le_bytes());
         let export = decode_model_export(&payload[4..]).unwrap();
-        assert_eq!(export.precision, Precision::Relaxed);
+        for (p, a) in model.parameters().iter().zip(&export.arrays) {
+            assert_eq!(p.to_array(), *a);
+        }
         assert_eq!(Precision::from_tag(Precision::Relaxed.tag()), Some(Precision::Relaxed));
         assert_eq!(Precision::from_tag(99), None);
         assert_eq!(Precision::Relaxed.to_string(), "relaxed");

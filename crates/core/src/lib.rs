@@ -59,8 +59,8 @@ pub use downstream::{
 };
 pub use encoder::Encoder;
 pub use export::{
-    decode_model_export, encode_model_export, encode_model_export_with, export_model,
-    export_model_with, read_model_export, ModelExport, Precision,
+    decode_model_export, encode_model_export, export_model, read_model_export, ModelExport,
+    Precision,
 };
 pub use model::{channel_independent, ContrastHead, Encoded, TimeDrl};
 pub use pooling::Pooling;

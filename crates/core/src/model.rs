@@ -182,21 +182,9 @@ impl TimeDrl {
 
     /// Writes the self-describing deployment artifact: configuration header
     /// plus parameters in one `KIND_MODEL` container, consumable standalone
-    /// by the compiled inference path (see `crate::export`). Tagged
-    /// [`crate::export::Precision::Exact`]; use [`TimeDrl::export_with`] to
-    /// opt an artifact into relaxed serving.
+    /// by the compiled inference path (see `crate::export`).
     pub fn export(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
         crate::export::export_model(path, self)
-    }
-
-    /// Like [`TimeDrl::export`] with an explicit exactness tier baked into
-    /// the artifact header.
-    pub fn export_with(
-        &self,
-        path: impl AsRef<std::path::Path>,
-        precision: crate::export::Precision,
-    ) -> std::io::Result<()> {
-        crate::export::export_model_with(path, self, precision)
     }
 
     fn embed_with(&self, x: &NdArray, extract: impl Fn(&Encoded) -> Var) -> NdArray {

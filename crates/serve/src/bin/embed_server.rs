@@ -1,31 +1,25 @@
 //! Zero-dependency embedding server over a frozen TimeDRL checkpoint.
 //!
 //! ```text
-//! embed_server --stdio <model.tdrl> [--max-batch N] [--cache N] [--precision exact|relaxed]
-//! embed_server --tcp <addr> <model.tdrl> [--max-batch N] [--cache N] [--precision exact|relaxed]
+//! embed_server --stdio <model.tdrl> [--max-batch N] [--cache N]
+//! embed_server --tcp <addr> <model.tdrl> [--max-batch N] [--cache N]
 //! ```
 //!
 //! `--stdio` answers length-prefixed frames on stdin/stdout until
 //! end-of-stream (session stats go to stderr); `--tcp` listens forever,
 //! coalescing concurrent connections into micro-batches on one compute
 //! thread. The wire format is documented in `timedrl_serve::protocol`.
-//!
-//! `--precision` overrides the exactness tier stamped into the model
-//! container: `relaxed` lowers every linear layer to the int8 quantized
-//! GEMM and runs activation products through the FMA kernels; `exact`
-//! forces the bitwise-reproducible f32 path. Without the flag the
-//! container's own tier is honored. Every response frame carries the tier
-//! it was computed under.
+//! Responses are bitwise-equal to the eval-mode tape forward and tagged
+//! exact on the wire. Any other flag is a usage error (exit code 2).
 
 use std::io::Write;
 use std::process::ExitCode;
-use timedrl::Precision;
 use timedrl_serve::{serve_stream, serve_tcp, CompiledModel, ServeConfig};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: embed_server --stdio <model.tdrl> [--max-batch N] [--cache N] [--precision exact|relaxed]\n\
-         \x20      embed_server --tcp <addr> <model.tdrl> [--max-batch N] [--cache N] [--precision exact|relaxed]"
+        "usage: embed_server --stdio <model.tdrl> [--max-batch N] [--cache N]\n\
+         \x20      embed_server --tcp <addr> <model.tdrl> [--max-batch N] [--cache N]"
     );
     ExitCode::from(2)
 }
@@ -34,7 +28,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut mode = None; // ("stdio", model) | ("tcp", addr, model)
     let mut cfg = ServeConfig::default();
-    let mut precision: Option<Precision> = None;
 
     let mut i = 0;
     let mut positional: Vec<&str> = Vec::new();
@@ -57,14 +50,6 @@ fn main() -> ExitCode {
                 }
                 i += 1;
             }
-            "--precision" => {
-                precision = match args.get(i + 1).map(String::as_str) {
-                    Some("exact") => Some(Precision::Exact),
-                    Some("relaxed") => Some(Precision::Relaxed),
-                    _ => return usage(),
-                };
-                i += 1;
-            }
             other if !other.starts_with("--") => positional.push(other),
             _ => return usage(),
         }
@@ -79,18 +64,13 @@ fn main() -> ExitCode {
     }
     let Some((kind, addr, model_path)) = mode else { return usage() };
 
-    let loaded = match precision {
-        Some(p) => CompiledModel::load_with(&model_path, p),
-        None => CompiledModel::load(&model_path),
-    };
-    let model = match loaded {
+    let model = match CompiledModel::load(&model_path) {
         Ok(m) => m,
         Err(e) => {
             eprintln!("embed_server: cannot load {model_path}: {e}");
             return ExitCode::FAILURE;
         }
     };
-    eprintln!("embed_server: serving at the {} tier", model.precision());
     // Pre-size the arena for the coalesced batch sizes the server will
     // actually run, so the very first request is already allocation-free.
     model.warm(1);

@@ -26,10 +26,7 @@
 use crate::error::{Result, ServeError};
 use timedrl::{read_model_export, EncoderKind, ModelExport, Pooling, Precision};
 use timedrl_data::InstanceStats;
-use timedrl_tensor::{
-    attention_fused, attention_fused_relaxed, matmul, matmul_q8, quantize_per_channel, NdArray,
-    QuantizedMatrix,
-};
+use timedrl_tensor::{attention_fused, matmul, NdArray};
 
 const EPS: f32 = 1e-5;
 
@@ -43,53 +40,24 @@ pub struct Embeddings {
     pub z_t: NdArray,
 }
 
-/// A compiled linear-layer weight in whichever form the exactness tier
-/// lowered it to: the exact tier keeps the checkpoint's f32 matrix, the
-/// relaxed tier quantizes it per output channel at load time (DESIGN.md
-/// §15) so requests hit the int8 GEMM.
-enum Weight {
-    Exact(NdArray),
-    Quantized(QuantizedMatrix),
-}
-
-impl Weight {
-    /// Lowers a `[in, out]` checkpoint matrix for the chosen tier.
-    fn lower(w: NdArray, precision: Precision) -> Result<Self> {
-        Ok(match precision {
-            Precision::Exact => Weight::Exact(w),
-            Precision::Relaxed => Weight::Quantized(quantize_per_channel(&w)?),
-        })
-    }
-
-    /// `x · w` through the tier's kernel.
-    fn matmul(&self, x: &NdArray) -> Result<NdArray> {
-        Ok(match self {
-            Weight::Exact(w) => matmul(x, w)?,
-            Weight::Quantized(q) => matmul_q8(x, q)?,
-        })
-    }
-}
-
-/// Weights of one compiled transformer block. Matrix weights are stored
-/// per-tier ([`Weight`]); vectors (biases, LayerNorm affine) stay f32 in
-/// both tiers, exactly as the tape path stores them (`Linear` weights are
-/// `[in, out]`).
+/// Weights of one compiled transformer block, stored exactly as the tape
+/// path stores them (`Linear` weights are `[in, out]`).
 struct Block {
-    wq: Weight,
+    wq: NdArray,
     bq: NdArray,
-    wk: Weight,
+    wk: NdArray,
     bk: NdArray,
-    wv: Weight,
+    wv: NdArray,
     bv: NdArray,
-    wo: Weight,
+    wo: NdArray,
     bo: NdArray,
     ln1_g: NdArray,
     ln1_b: NdArray,
     ln2_g: NdArray,
     ln2_b: NdArray,
-    ff1_w: Weight,
+    ff1_w: NdArray,
     ff1_b: NdArray,
-    ff2_w: Weight,
+    ff2_w: NdArray,
     ff2_b: NdArray,
 }
 
@@ -106,10 +74,9 @@ pub struct CompiledModel {
     heads: usize,
     head_dim: usize,
     pooling: Pooling,
-    precision: Precision,
     cls: NdArray,
     pos: NdArray,
-    token_w: Weight,
+    token_w: NdArray,
     token_b: NdArray,
     blocks: Vec<Block>,
     /// Whether attention is causally masked (the decoder variant). The
@@ -118,7 +85,7 @@ pub struct CompiledModel {
     /// Timestamp-predictive head `p_θ` (`[D, C·P]` weight + `[C·P]` bias) —
     /// not part of the embedding forward, but the streaming anomaly scorer
     /// reconstructs patches through it.
-    pred_w: Weight,
+    pred_w: NdArray,
     pred_b: NdArray,
 }
 
@@ -142,34 +109,14 @@ fn take(
 
 impl CompiledModel {
     /// Loads a `KIND_MODEL` export container (written by `TimeDrl::export`)
-    /// and compiles it at the exactness tier baked into the artifact
-    /// header. Fails with a typed error on any corruption, shape mismatch,
-    /// or a backbone without a compiled plan.
+    /// and compiles it. Fails with a typed error on any corruption, shape
+    /// mismatch, or a backbone without a compiled plan.
     pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self> {
         Self::from_export(read_model_export(path)?)
     }
 
-    /// Loads an export container and compiles it at an explicit tier,
-    /// overriding the artifact's own tag — the `--precision` escape hatch
-    /// of `embed_server`.
-    pub fn load_with(path: impl AsRef<std::path::Path>, precision: Precision) -> Result<Self> {
-        Self::from_export_with(read_model_export(path)?, precision)
-    }
-
-    /// Compiles an already-decoded [`ModelExport`] at the tier its header
-    /// opts into.
+    /// Compiles an already-decoded [`ModelExport`].
     pub fn from_export(export: ModelExport) -> Result<Self> {
-        let precision = export.precision;
-        Self::from_export_with(export, precision)
-    }
-
-    /// Compiles an already-decoded [`ModelExport`] at an explicit tier.
-    /// Under [`Precision::Relaxed`], every linear-layer matrix (token
-    /// projection, attention projections, feed-forward, predictive head)
-    /// is quantized per output channel here — once, at load time — and
-    /// activation·activation products run the FMA kernels; softmax,
-    /// LayerNorm, GELU, and every bias stay f32.
-    pub fn from_export_with(export: ModelExport, precision: Precision) -> Result<Self> {
         let cfg = &export.config;
         let causal = match cfg.encoder {
             EncoderKind::TransformerEncoder => false,
@@ -190,27 +137,27 @@ impl CompiledModel {
         let mut it = export.arrays.into_iter();
         let cls = take(&mut it, "cls", &[width])?;
         let pos = take(&mut it, "pos", &[s, d])?;
-        let token_w = Weight::lower(take(&mut it, "token_proj.w", &[width, d])?, precision)?;
+        let token_w = take(&mut it, "token_proj.w", &[width, d])?;
         let token_b = take(&mut it, "token_proj.b", &[d])?;
         let mut blocks = Vec::with_capacity(layers);
         for l in 0..layers {
             let p = |n: &str| format!("block{l}.{n}");
             blocks.push(Block {
-                wq: Weight::lower(take(&mut it, &p("wq.w"), &[d, d])?, precision)?,
+                wq: take(&mut it, &p("wq.w"), &[d, d])?,
                 bq: take(&mut it, &p("wq.b"), &[d])?,
-                wk: Weight::lower(take(&mut it, &p("wk.w"), &[d, d])?, precision)?,
+                wk: take(&mut it, &p("wk.w"), &[d, d])?,
                 bk: take(&mut it, &p("wk.b"), &[d])?,
-                wv: Weight::lower(take(&mut it, &p("wv.w"), &[d, d])?, precision)?,
+                wv: take(&mut it, &p("wv.w"), &[d, d])?,
                 bv: take(&mut it, &p("wv.b"), &[d])?,
-                wo: Weight::lower(take(&mut it, &p("wo.w"), &[d, d])?, precision)?,
+                wo: take(&mut it, &p("wo.w"), &[d, d])?,
                 bo: take(&mut it, &p("wo.b"), &[d])?,
                 ln1_g: take(&mut it, &p("ln1.gamma"), &[d])?,
                 ln1_b: take(&mut it, &p("ln1.beta"), &[d])?,
                 ln2_g: take(&mut it, &p("ln2.gamma"), &[d])?,
                 ln2_b: take(&mut it, &p("ln2.beta"), &[d])?,
-                ff1_w: Weight::lower(take(&mut it, &p("ff1.w"), &[d, d_ff])?, precision)?,
+                ff1_w: take(&mut it, &p("ff1.w"), &[d, d_ff])?,
                 ff1_b: take(&mut it, &p("ff1.b"), &[d_ff])?,
-                ff2_w: Weight::lower(take(&mut it, &p("ff2.w"), &[d_ff, d])?, precision)?,
+                ff2_w: take(&mut it, &p("ff2.w"), &[d_ff, d])?,
                 ff2_b: take(&mut it, &p("ff2.b"), &[d])?,
             });
         }
@@ -218,7 +165,7 @@ impl CompiledModel {
         // the checkpoint) but plays no role on the frozen embedding path;
         // the predictive head is kept for streaming anomaly scoring.
         let hidden = (d / 4).max(2);
-        let pred_w = Weight::lower(take(&mut it, "pred_head.w", &[d, width])?, precision)?;
+        let pred_w = take(&mut it, "pred_head.w", &[d, width])?;
         let pred_b = take(&mut it, "pred_head.b", &[width])?;
         take(&mut it, "contrast.l1.w", &[d, hidden])?;
         take(&mut it, "contrast.l1.b", &[hidden])?;
@@ -238,7 +185,6 @@ impl CompiledModel {
             heads,
             head_dim: d / heads,
             pooling: cfg.pooling,
-            precision,
             cls,
             pos,
             token_w,
@@ -285,11 +231,12 @@ impl CompiledModel {
         self.pooling
     }
 
-    /// The exactness tier this model was compiled at. Tagged onto every
-    /// wire response so clients can never mistake relaxed embeddings for
-    /// bit-exact ones.
+    /// Always [`Precision::Exact`]: the compiled forward is bitwise-equal
+    /// to the tape path. It stays because every wire response carries a
+    /// precision tag (`protocol::encode_response` takes one), and an export
+    /// tagged with the retired relaxed tier still loads and serves exact.
     pub fn precision(&self) -> Precision {
-        self.precision
+        Precision::Exact
     }
 
     /// Latent width `D`.
@@ -365,7 +312,7 @@ impl CompiledModel {
                 self.t_p, self.d
             )));
         }
-        Ok(self.pred_w.matmul(z_t)?.add(&self.pred_b))
+        Ok(matmul(z_t, &self.pred_w)?.add(&self.pred_b))
     }
 
     /// Instance-normalize + patch. The statistics come from the shared
@@ -395,7 +342,7 @@ impl CompiledModel {
         let b = patched.shape()[0];
         let cls = self.cls.reshape(&[1, 1, self.width])?.broadcast_to(&[b, 1, self.width])?;
         let with_cls = NdArray::concat(&[&cls, patched], 1);
-        Ok(self.token_w.matmul(&with_cls)?.add(&self.token_b).add(&self.pos))
+        Ok(matmul(&with_cls, &self.token_w)?.add(&self.token_b).add(&self.pos))
     }
 
     /// `[B, S, D] -> [B·H, S, Dh]`, the tape's reshape/permute/reshape.
@@ -408,28 +355,24 @@ impl CompiledModel {
     fn attention(&self, i: usize, h: &NdArray) -> Result<NdArray> {
         let blk = &self.blocks[i];
         let (b, s, d) = (h.shape()[0], h.shape()[1], h.shape()[2]);
-        let q = self.split_heads(&blk.wq.matmul(h)?.add(&blk.bq), b, s)?;
-        let k = self.split_heads(&blk.wk.matmul(h)?.add(&blk.bk), b, s)?;
-        let v = self.split_heads(&blk.wv.matmul(h)?.add(&blk.bv), b, s)?;
+        let q = self.split_heads(&matmul(h, &blk.wq)?.add(&blk.bq), b, s)?;
+        let k = self.split_heads(&matmul(h, &blk.wk)?.add(&blk.bk), b, s)?;
+        let v = self.split_heads(&matmul(h, &blk.wv)?.add(&blk.bv), b, s)?;
         let scale = 1.0 / (self.head_dim as f32).sqrt();
-        // The exact tier runs the fused tiled kernel bit-for-bit equal to
-        // the old composed chain; the relaxed tier takes the single-pass
-        // online-softmax FMA variant. Neither materializes [B·H, S, S].
-        let merged = match self.precision {
-            Precision::Exact => attention_fused(&q, &k, &v, scale, self.causal, None)?,
-            Precision::Relaxed => attention_fused_relaxed(&q, &k, &v, scale, self.causal)?,
-        }
-        .reshape(&[b, self.heads, s, self.head_dim])?
-        .permute(&[0, 2, 1, 3])
-        .reshape(&[b, s, d])?;
-        let attn_out = blk.wo.matmul(&merged)?.add(&blk.bo);
+        // The fused tiled kernel is bit-for-bit equal to the composed chain
+        // and never materializes [B·H, S, S].
+        let merged = attention_fused(&q, &k, &v, scale, self.causal, None)?
+            .reshape(&[b, self.heads, s, self.head_dim])?
+            .permute(&[0, 2, 1, 3])
+            .reshape(&[b, s, d])?;
+        let attn_out = matmul(&merged, &blk.wo)?.add(&blk.bo);
         Ok(layer_norm(&h.add(&attn_out), &blk.ln1_g, &blk.ln1_b))
     }
 
     fn feed_forward(&self, i: usize, h: &NdArray) -> Result<NdArray> {
         let blk = &self.blocks[i];
-        let a = gelu(&blk.ff1_w.matmul(h)?.add(&blk.ff1_b));
-        let ff = blk.ff2_w.matmul(&a)?.add(&blk.ff2_b);
+        let a = gelu(&matmul(h, &blk.ff1_w)?.add(&blk.ff1_b));
+        let ff = matmul(&a, &blk.ff2_w)?.add(&blk.ff2_b);
         Ok(layer_norm(&h.add(&ff), &blk.ln2_g, &blk.ln2_b))
     }
 

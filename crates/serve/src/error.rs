@@ -27,9 +27,10 @@ pub enum ServeError {
     /// surfaced instead of panicking the serving process.
     Exec(TensorError),
     /// An exactness-tier mismatch: a byte-exact comparison was requested
-    /// against output produced under a different precision tier. Relaxed
-    /// responses are only ε-comparable to exact goldens, never
-    /// byte-comparable.
+    /// against a response whose precision tag names another tier. The
+    /// server only writes exact frames, but a frame read from outside the
+    /// program may carry the retired relaxed tag (DESIGN.md §15), and such
+    /// output is never byte-comparable with exact goldens.
     PrecisionMismatch {
         /// Tier the comparison baseline was produced under.
         expected: &'static str,

@@ -19,8 +19,9 @@
 //! ```
 //!
 //! The precision tag names the exactness tier the embeddings were computed
-//! under (`0` exact, `1` relaxed), so clients can tell whether a response
-//! is byte-comparable to an exact-tier golden or only ε-comparable.
+//! under. This server only computes exact embeddings and always writes `0`;
+//! `1` (relaxed) is the retired int8/FMA tier's tag, which still decodes so
+//! that a client comparing bytes can name and refuse such a frame.
 //!
 //! and for `RESP_ERR` a `u32` length + UTF-8 message.
 //!
@@ -209,18 +210,19 @@ pub fn decode_request(
     if b > max_batch {
         return Err(ServeError::BadRequest(format!("batch {b} exceeds server cap {max_batch}")));
     }
-    // b·t·c is bounded by the frame cap the payload already passed, so
-    // this zeros() cannot over-allocate; the element count is still
-    // validated against the bytes actually present before the copy.
-    let numel = b
+    // The byte count is checked against the bytes actually present before
+    // zeros() runs, so it cannot over-allocate. It is computed checked
+    // because `max_batch` is an operator setting: under a huge cap, an
+    // unchecked count could wrap to 0 and pass.
+    let need = b
         .checked_mul(t)
         .and_then(|v| v.checked_mul(c))
-        .ok_or_else(|| bad("window element count overflows".to_string()))?;
-    if cur.remaining() != numel * 4 {
+        .and_then(|v| v.checked_mul(4))
+        .ok_or_else(|| bad("window byte count overflows".to_string()))?;
+    if cur.remaining() != need {
         return Err(bad(format!(
-            "payload carries {} bytes of samples, dims {b}x{t}x{c} need {}",
-            cur.remaining(),
-            numel * 4
+            "payload carries {} bytes of samples, dims {b}x{t}x{c} need {need}",
+            cur.remaining()
         )));
     }
     let mut out = NdArray::zeros(&[b, t, c]);
@@ -230,7 +232,8 @@ pub fn decode_request(
 }
 
 /// Encodes a success response into `buf` (cleared first, capacity reused).
-/// The precision tag records the exactness tier the serving model ran under.
+/// The precision tag records the exactness tier the serving model ran under
+/// ([`crate::CompiledModel::precision`], always exact).
 pub fn encode_response(buf: &mut Vec<u8>, emb: &Embeddings, precision: Precision) {
     buf.clear();
     let (b, zi_dim) = (emb.z_i.shape()[0], emb.z_i.shape()[1]);
@@ -275,11 +278,17 @@ pub fn decode_response(payload: &[u8]) -> Result<(Embeddings, Precision)> {
                 .checked_mul(t_p)
                 .and_then(|v| v.checked_mul(d))
                 .ok_or_else(|| bad("zt element count overflows".to_string()))?;
-            if cur.remaining() != (zi_n + zt_n) * 4 {
+            // Each count fits on its own, but their sum in bytes need not:
+            // unchecked, dims that wrap to 0 would pass the length check
+            // and reach a `zeros` of 2^62 elements.
+            let need = zi_n
+                .checked_add(zt_n)
+                .and_then(|n| n.checked_mul(4))
+                .ok_or_else(|| bad("response byte count overflows".to_string()))?;
+            if cur.remaining() != need {
                 return Err(bad(format!(
-                    "response carries {} bytes, dims need {}",
-                    cur.remaining(),
-                    (zi_n + zt_n) * 4
+                    "response carries {} bytes, dims need {need}",
+                    cur.remaining()
                 )));
             }
             let mut z_i = NdArray::zeros(&[b, zi_dim]);

@@ -152,4 +152,44 @@ fn oversized_declared_batch_is_rejected_before_reservation() {
     let err = try_serve_frame(&frame).unwrap_err();
     assert!(matches!(err, ServeError::BadRequest(_)), "got {err}");
     assert!(allocated_bytes() - before < REJECT_BYTES_CAP);
+    // Under an uncapped batch, a batch whose byte count wraps to 0 must
+    // still be rejected as a bad frame.
+    payload[4..12].copy_from_slice(&(1u64 << 58).to_le_bytes()); // 2^58 · 16 · 1 · 4 = 2^64
+    let before = allocated_bytes();
+    let err = protocol::decode_request(&payload, 16, 1, usize::MAX).unwrap_err();
+    assert!(matches!(err, ServeError::BadFrame(_)), "got {err}");
+    assert!(allocated_bytes() - before < REJECT_BYTES_CAP);
+}
+
+#[test]
+fn response_dims_whose_byte_count_overflows_are_rejected() {
+    // A `RESP_OK` header with no float bytes behind it whose element
+    // counts each fit in a usize but whose byte count `(zi + zt) · 4`
+    // does not: unchecked, it wraps to 0, passes the length check and
+    // asks `zeros` for 2^62 floats.
+    let hostile: [[u64; 4]; 3] = [
+        [1, 1 << 62, 0, 0],       // zi bytes overflow
+        [1, 0, 1 << 62, 1],       // zt bytes overflow
+        [1, 1 << 63, 1, 1 << 63], // zi + zt overflows
+    ];
+    for dims in hostile {
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&protocol::RESP_OK.to_le_bytes());
+        payload.extend_from_slice(&0u32.to_le_bytes()); // precision tag: exact
+        for dim in dims {
+            payload.extend_from_slice(&dim.to_le_bytes());
+        }
+        let mut frame = Vec::new();
+        protocol::write_frame(&mut frame, &payload).unwrap();
+        let mut reader = frame.as_slice();
+        let mut buf = Vec::new();
+        assert!(protocol::read_frame_into(&mut reader, &mut buf, 1 << 20).unwrap());
+        let before = allocated_bytes();
+        match protocol::decode_response(&buf) {
+            Err(ServeError::BadFrame(_)) => {}
+            Err(other) => panic!("dims {dims:?}: unexpected error class {other}"),
+            Ok(_) => panic!("dims {dims:?}: hostile response accepted"),
+        }
+        assert!(allocated_bytes() - before < REJECT_BYTES_CAP);
+    }
 }

@@ -4,11 +4,14 @@
 //! compiled backbones, and every pooling strategy.
 
 use testkit::pool;
-use timedrl::{decode_model_export, encode_model_export, EncoderKind, Pooling, TimeDrl, TimeDrlConfig};
+use timedrl::{
+    decode_model_export, encode_model_export, EncoderKind, Pooling, Precision, TimeDrl,
+    TimeDrlConfig,
+};
 use timedrl_data::PatchConfig;
 use timedrl_nn::Ctx;
-use timedrl_serve::CompiledModel;
-use timedrl_tensor::{bufpool, NdArray, Prng};
+use timedrl_serve::{CompiledModel, ServeError};
+use timedrl_tensor::{bufpool, write_file_atomic, NdArray, Prng};
 
 fn build(encoder: EncoderKind, pooling: Pooling, seed: u64) -> TimeDrl {
     let mut cfg = TimeDrlConfig::forecasting(16);
@@ -102,6 +105,52 @@ fn parity_survives_export_file_roundtrip() {
     let got = compiled.embed(&x).unwrap();
     assert_bits_eq("file roundtrip z_i", &got.z_i, &want_zi);
     assert_bits_eq("file roundtrip z_t", &got.z_t, &want_zt);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Offset of the precision tag in an `encode_model_export` payload: the
+/// kind tag, eight `u64` dimensions, then the encoder and pooling tags.
+const PRECISION_TAG_AT: usize = 4 + 8 * 8 + 4 + 4;
+
+/// Artifacts from the retired relaxed tier carry precision tag 1 over plain
+/// f32 arrays. They still load, in memory and from a container file, and
+/// serve the exact forward: the same bits as the tag-0 artifact.
+#[test]
+fn relaxed_tagged_export_loads_and_serves_exact() {
+    let model = build(EncoderKind::TransformerEncoder, Pooling::Cls, 23);
+    let exact = compile(&model);
+    let mut payload = encode_model_export(&model);
+    let tag = PRECISION_TAG_AT..PRECISION_TAG_AT + 4;
+    assert_eq!(payload[tag.clone()], Precision::Exact.tag().to_le_bytes());
+    payload[tag.clone()].copy_from_slice(&Precision::Relaxed.tag().to_le_bytes());
+
+    let dir = std::env::temp_dir().join("timedrl_serve_relaxed_tag");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("relaxed.tdrl");
+    // The container writer checksums the edited payload afresh.
+    write_file_atomic(&path, &payload).unwrap();
+    let in_memory = CompiledModel::from_export(decode_model_export(&payload[4..]).unwrap()).unwrap();
+    let from_file = CompiledModel::load(&path).unwrap();
+    for (source, legacy) in [("in memory", in_memory), ("from file", from_file)] {
+        assert_eq!(legacy.precision(), Precision::Exact, "{source}");
+        for batch in [1usize, 3] {
+            let x = Prng::new(200 + batch as u64).randn(&[batch, 16, 1]);
+            let (got, want) = (legacy.embed(&x).unwrap(), exact.embed(&x).unwrap());
+            assert_bits_eq(&format!("tag 1 {source} batch={batch} z_i"), &got.z_i, &want.z_i);
+            assert_bits_eq(&format!("tag 1 {source} batch={batch} z_t"), &got.z_t, &want.z_t);
+        }
+    }
+
+    // Tag 2 names no tier and stays a typed error.
+    payload[tag].copy_from_slice(&2u32.to_le_bytes());
+    let err = decode_model_export(&payload[4..]).unwrap_err();
+    assert!(err.to_string().contains("precision tag"), "{err}");
+    write_file_atomic(&path, &payload).unwrap();
+    match CompiledModel::load(&path) {
+        Err(ServeError::BadModel(msg)) => assert!(msg.contains("precision tag"), "{msg}"),
+        Err(other) => panic!("tag 2: unexpected error class {other}"),
+        Ok(_) => panic!("tag 2: artifact accepted"),
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -56,7 +56,7 @@ fn concurrent_tcp_clients_get_bit_exact_embeddings() {
     for client in clients {
         let (windows, frame) = client.join().unwrap();
         let (resp, precision) = protocol::decode_response(&frame).expect("ok response");
-        assert_eq!(precision, Precision::Exact, "default serving tier is exact");
+        assert_eq!(precision, Precision::Exact, "the server writes only exact frames");
         let want = reference.embed(&windows).unwrap();
         assert_eq!(
             resp.z_i.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),

@@ -141,14 +141,6 @@ impl StreamingEncoder {
         &self.model
     }
 
-    /// The exactness tier every update from this engine is computed under
-    /// (see [`CompiledModel::precision`]): `Exact` hops are bitwise
-    /// reproducible against the batch path, `Relaxed` hops run the int8
-    /// quantized kernels and are only ε-comparable.
-    pub fn precision(&self) -> timedrl::Precision {
-        self.model.precision()
-    }
-
     /// The per-channel `(mean, std)` the most recent hop normalized with.
     /// Forecast consumers use these to denormalize predictions back to
     /// the input scale (RevIN).

@@ -72,44 +72,12 @@ fn window_at(series: &NdArray, tick: u64, t: usize) -> NdArray {
         .expect("shape")
 }
 
-/// The streaming contract holds *per exactness tier*: a relaxed engine
-/// reports its tier, and its exact-stats hops are bitwise-identical to
-/// the relaxed batch path (both run the same quantized compiled model).
-#[test]
-fn relaxed_engine_matches_the_relaxed_batch_path() {
-    let t = 16;
-    let model = fixture(t, 3);
-    let payload = encode_model_export(&model);
-    let export = decode_model_export(&payload[4..]).expect("export");
-    let relaxed = CompiledModel::from_export_with(export, Precision::Relaxed).expect("compile");
-    let reference = {
-        let payload = encode_model_export(&model);
-        let export = decode_model_export(&payload[4..]).expect("export");
-        CompiledModel::from_export_with(export, Precision::Relaxed).expect("compile")
-    };
-    let mut engine = StreamingEncoder::new(relaxed, 1).expect("engine");
-    assert_eq!(engine.precision(), Precision::Relaxed);
-    let series = Prng::new(0x51).randn(&[t + 3 * 4, 1]);
-    let mut hops = 0;
-    for i in 0..series.shape()[0] {
-        if let Some(update) = engine.push(&[series.data()[i]]).expect("push") {
-            assert!(update.exact);
-            let window = window_at(&series, update.tick, t);
-            let batch = reference.embed(&window).expect("batch embed");
-            assert_eq!(batch.z_i.data(), update.z_i.data(), "z_i bits at tick {}", update.tick);
-            assert_eq!(batch.z_t.data(), update.z_t.data(), "z_t bits at tick {}", update.tick);
-            hops += 1;
-        }
-    }
-    assert_eq!(hops, 4, "one hop per completed patch stride");
-}
-
-/// An exact-tier engine reports the exact tier.
+/// An engine's model reports the exact tier, the only one it computes.
 #[test]
 fn exact_engine_reports_the_exact_tier() {
     let model = fixture(16, 1);
     let engine = StreamingEncoder::new(compile(&model), 1).expect("engine");
-    assert_eq!(engine.precision(), Precision::Exact);
+    assert_eq!(engine.model().precision(), Precision::Exact);
 }
 
 prop! {

@@ -11,9 +11,9 @@
 //! softmax → dropout → `·V`, so peak attention scratch is
 //! `O(MR·T + T·Dh)` (the packed panels) — linear in `T`, not quadratic.
 //!
-//! # Exact tier: bitwise equality with the composed path
+//! # Bitwise equality with the composed path
 //!
-//! Every `f32` an exact-tier fused call produces is bit-identical to the
+//! Every `f32` a fused call produces is bit-identical to the
 //! composed chain `matmul_nt → scale → add mask → softmax_lastdim →
 //! mul mask → matmul` (property-tested below and in the determinism
 //! suite). The argument is per output element, the same shape as the
@@ -56,28 +56,13 @@
 //! across batch-head entries only; the `dK`/`dV` accumulators for one
 //! entry are owned by one closure, so no cross-chunk reduction ever
 //! reorders their sums.
-//!
-//! # Relaxed tier: single-pass online softmax
-//!
-//! Under `Precision::Relaxed` (DESIGN.md §15) the kernel switches to a
-//! FlashAttention-style single pass: scores for an `MR`-row strip come from
-//! the FMA microkernel, then one walk over [`NR`]-wide key tiles maintains
-//! a running row maximum `m`, a running denominator `z`, and a `Dh`-wide
-//! accumulator that is rescaled by `exp(m_old − m_new)` whenever the
-//! maximum grows; every multiply-add contracts to `vfmadd`. Accumulation
-//! order is fixed by the tile walk (ascending `j` in `NR` strides), never
-//! by thread count, so relaxed results are bit-identical across
-//! `TIMEDRL_THREADS` on one host — the tier's contract is ε-closeness to
-//! the exact kernel (gated by `probe quant`), not specific bits across
-//! ISAs. Hosts without FMA fall back to the exact fused kernel.
 
 use crate::array::NdArray;
 use crate::bufpool::Buffer;
 use crate::error::{Result, TensorError};
 use crate::matmul::{
-    fma_available, matmul_nt_rows_reference, matmul_rows_packed, matmul_rows_reference,
-    matmul_rows_relaxed, pack_b_panels, pack_bt_panels, panel_count, use_packed, MATMUL_GRAIN, MR,
-    NR,
+    matmul_nt_rows_reference, matmul_rows_packed, matmul_rows_reference, pack_b_panels,
+    pack_bt_panels, panel_count, use_packed, MATMUL_GRAIN, MR, NR,
 };
 use testkit::pool;
 
@@ -214,7 +199,7 @@ fn pack_kt_all(kd: &[f32], bh: usize, t: usize, dh: usize, tl: &Tiling) -> Buffe
     kt_all
 }
 
-/// Fused tiled attention, exact tier: `softmax(q·kᵀ·scale + mask)·v` for
+/// Fused tiled attention: `softmax(q·kᵀ·scale + mask)·v` for
 /// `[bh, t, dh]` operands, bit-identical to the composed
 /// `matmul_nt → scale → (add causal mask) → softmax_lastdim →
 /// (mul drop_mask) → matmul` chain at any thread count, with peak scratch
@@ -470,138 +455,6 @@ pub fn attention_fused_backward(
     Ok((dq, dk, dv))
 }
 
-/// One row's single-pass online softmax + `·V` accumulation over `NR`-wide
-/// key tiles. `srow` holds the raw (unscaled) scores and is finished in
-/// place; `orow` receives the attention output. Compiled only as the
-/// `avx2,fma` instantiation: every accumulator update is a `vfmadd`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-fn online_softmax_row_avx2(
-    srow: &mut [f32],
-    ve: &[f32],
-    orow: &mut [f32],
-    i: usize,
-    scale: f32,
-    causal: bool,
-) {
-    let t = srow.len();
-    let dh = orow.len();
-    orow.fill(0.0);
-    let mut m = f32::NEG_INFINITY;
-    let mut z = 0.0f32;
-    let mut j0 = 0;
-    while j0 < t {
-        let w = NR.min(t - j0);
-        // Finish this tile's logits and find its maximum.
-        let mut tmax = f32::NEG_INFINITY;
-        for (jj, x) in srow[j0..j0 + w].iter_mut().enumerate() {
-            let lo = if causal && j0 + jj > i { MASK_NEG } else { 0.0 };
-            *x = (*x).mul_add(scale, lo);
-            tmax = tmax.max(*x);
-        }
-        // Rescale the running accumulator when the maximum grows.
-        if tmax > m {
-            if z > 0.0 {
-                let c = (m - tmax).exp();
-                z *= c;
-                for o in orow.iter_mut() {
-                    *o *= c;
-                }
-            }
-            m = tmax;
-        }
-        for (jj, &x) in srow[j0..j0 + w].iter().enumerate() {
-            let e = (x - m).exp();
-            z += e;
-            let vrow = &ve[(j0 + jj) * dh..(j0 + jj + 1) * dh];
-            for (o, &vv) in orow.iter_mut().zip(vrow) {
-                *o = e.mul_add(vv, *o);
-            }
-        }
-        j0 += w;
-    }
-    let inv = 1.0 / z;
-    for o in orow.iter_mut() {
-        *o *= inv;
-    }
-}
-
-/// Fused tiled attention, relaxed tier (`Precision::Relaxed`): FMA scores
-/// plus a single-pass online softmax (see module docs). ε-close to
-/// [`attention_fused`] and bit-identical across thread counts on one host;
-/// hosts without AVX2+FMA fall back to the exact fused kernel.
-///
-/// # Errors
-/// Same shape contract as [`attention_fused`].
-pub fn attention_fused_relaxed(
-    q: &NdArray,
-    k: &NdArray,
-    v: &NdArray,
-    scale: f32,
-    causal: bool,
-) -> Result<NdArray> {
-    if !fma_available() {
-        return attention_fused(q, k, v, scale, causal, None);
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        unreachable!("fma_available() is false off x86_64");
-    }
-    #[cfg(target_arch = "x86_64")]
-    {
-        let (bh, t, dh) = validate(q, k, v)?;
-        let mut out = NdArray::zeros(&[bh, t, dh]);
-        if out.data().is_empty() {
-            return Ok(out);
-        }
-        let (qd, kd, vd) = (q.data(), k.data(), v.data());
-        let tl = Tiling::new(t, dh);
-        // The relaxed GEMM core has no tiny-product reference fallback: it
-        // always packs, because serving dims are model dims, always worth it.
-        let mut kt_all = Buffer::zeroed(bh * tl.kt_len);
-        for e in 0..bh {
-            pack_bt_panels(
-                &kd[e * t * dh..(e + 1) * t * dh],
-                dh,
-                t,
-                &mut kt_all[e * tl.kt_len..(e + 1) * tl.kt_len],
-            );
-        }
-        let kt_all = &kt_all[..];
-        let row_cost = 2 * t * dh;
-        let rows_per_chunk = if pool::should_parallelize(bh * t * row_cost, MATMUL_GRAIN) {
-            (pool::grain(MATMUL_GRAIN) / row_cost.max(1)).clamp(1, bh * t)
-        } else {
-            bh * t
-        };
-        pool::for_each_chunk(out.data_mut(), rows_per_chunk * dh, |offset, chunk| {
-            let mut scratch = Buffer::zeroed(MR * t);
-            let row_first = offset / dh;
-            let rows = chunk.len() / dh;
-            let mut r = 0;
-            while r < rows {
-                let grow = row_first + r;
-                let (e, i0) = (grow / t, grow % t);
-                let mr = MR.min(rows - r).min(t - i0);
-                let qe = &qd[e * t * dh..(e + 1) * t * dh];
-                let ve = &vd[e * t * dh..(e + 1) * t * dh];
-                let strip = &mut scratch[..mr * t];
-                matmul_rows_relaxed(qe, &kt_all[e * tl.kt_len..(e + 1) * tl.kt_len], strip, i0, dh, t);
-                for lr in 0..mr {
-                    let srow = &mut strip[lr * t..(lr + 1) * t];
-                    let orow = &mut chunk[(r + lr) * dh..(r + lr + 1) * dh];
-                    // SAFETY: gated on runtime AVX2+FMA detection at entry.
-                    unsafe {
-                        online_softmax_row_avx2(srow, ve, orow, i0 + lr, scale, causal);
-                    }
-                }
-                r += mr;
-            }
-        });
-        Ok(out)
-    }
-}
-
 /// The composed, materialized score path as one call: `matmul_nt → scale →
 /// (add causal mask) → softmax_lastdim → (mul drop_mask) → matmul`, exactly
 /// the op chain the seed tape executed. Anchors the bitwise property tests,
@@ -785,38 +638,6 @@ mod tests {
                 assert_bits_eq(&dq, &wq, &format!("dq {what}"));
                 assert_bits_eq(&dk, &wk, &format!("dk {what}"));
                 assert_bits_eq(&dv, &wv, &format!("dv {what}"));
-            }
-        }
-    }
-
-    #[test]
-    fn relaxed_is_close_to_exact_and_thread_invariant() {
-        let mut rng = Prng::new(7);
-        for &(bh, t, dh, causal) in
-            &[(2usize, 16usize, 8usize, false), (2, 33, 8, true), (1, 64, 16, false), (3, 7, 4, true)]
-        {
-            let q = rng.randn(&[bh, t, dh]);
-            let k = rng.randn(&[bh, t, dh]);
-            let v = rng.randn(&[bh, t, dh]);
-            let scale = 1.0 / (dh as f32).sqrt();
-            let exact = attention_fused(&q, &k, &v, scale, causal, None).unwrap();
-            let relaxed = attention_fused_relaxed(&q, &k, &v, scale, causal).unwrap();
-            let mut max_abs = 0.0f32;
-            for (a, b) in exact.data().iter().zip(relaxed.data().iter()) {
-                max_abs = max_abs.max((a - b).abs());
-            }
-            assert!(max_abs < 1e-4, "relaxed drift {max_abs} at t={t} dh={dh} causal={causal}");
-            // Same bits at any thread count (one host, fixed tile walk).
-            let r1 = pool::with_threads(1, || {
-                pool::with_grain(512, || attention_fused_relaxed(&q, &k, &v, scale, causal).unwrap())
-            });
-            for threads in [2usize, 4] {
-                let rn = pool::with_threads(threads, || {
-                    pool::with_grain(512, || {
-                        attention_fused_relaxed(&q, &k, &v, scale, causal).unwrap()
-                    })
-                });
-                assert_bits_eq(&rn, &r1, &format!("relaxed threads={threads} t={t}"));
             }
         }
     }

@@ -39,11 +39,6 @@ pub enum TensorError {
         /// Right-hand shape.
         rhs: Vec<usize>,
     },
-    /// Per-channel quantization was asked for a non-rank-2 array.
-    QuantizeRank {
-        /// Shape of the offending array.
-        shape: Vec<usize>,
-    },
     /// A reshape changes the total element count.
     ReshapeMismatch {
         /// Source shape.
@@ -93,9 +88,6 @@ impl fmt::Display for TensorError {
                     }
                 }
                 Ok(())
-            }
-            TensorError::QuantizeRank { shape } => {
-                write!(f, "per-channel quantization requires a rank-2 matrix, got shape {shape:?}")
             }
             TensorError::ReshapeMismatch { from, to } => {
                 write!(f, "cannot reshape {from:?} into {to:?}: element counts differ")

@@ -31,19 +31,15 @@ mod error;
 pub mod gradcheck;
 mod init;
 mod matmul;
-mod quant;
 pub mod serialize;
 pub mod shape;
 mod var;
 
 pub use array::NdArray;
-pub use attention::{
-    attention_fused, attention_fused_backward, attention_fused_relaxed, attention_reference,
-};
+pub use attention::{attention_fused, attention_fused_backward, attention_reference};
 pub use error::{Result, TensorError};
 pub use init::Prng;
 pub use matmul::{matmul, matmul_nt, matmul_reference, matmul_tn};
-pub use quant::{matmul_q8, quantize_per_channel, QuantizedMatrix};
 pub use serialize::{
     decode_arrays, encode_arrays, load_parameters, read_arrays, read_file, save_parameters,
     write_arrays, write_file_atomic, ByteReader, KIND_ARRAYS, KIND_MODEL, KIND_TRAIN_STATE,

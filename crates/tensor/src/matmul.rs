@@ -725,128 +725,6 @@ pub(crate) fn matmul_tn_fold(a: &NdArray, g: &NdArray) -> Result<NdArray> {
     Ok(out)
 }
 
-// ---------------------------------------------------------------------------
-// Relaxed-exactness FMA row core (DESIGN.md §15).
-//
-// The exact kernels above deliberately keep `mul` and `add` as separate
-// instructions so the packed path stays bit-identical to the seed loop. That
-// caps f32 throughput at the non-contracted peak. Serving's relaxed tier has
-// no bit-exactness contract. Its linear layers run the int8 `matmul_q8`, so
-// the relaxed f32 GEMM exists only as the attention score core:
-// `attention_fused_relaxed` drives [`matmul_rows_relaxed`], which runs the
-// same MR×NR blocked walk over the same packed panels but fuses each lane
-// update into one `mul_add` (compiled to `vfmadd` under the `avx2,fma`
-// target features) and drops the reference kernel's ±0.0-skip branch —
-// roughly 2× the multiply-add retire rate, with one rounding per FMA instead
-// of two.
-//
-// `f32::mul_add` is ONLY called inside the `#[target_feature(enable =
-// "avx2", enable = "fma")]` instantiation: without the FMA ISA it lowers to
-// a libm `fmaf` call, orders of magnitude slower. Hosts without FMA fall
-// back to the exact packed kernel — still correct, merely uncontracted (the
-// relaxed tier promises closeness to f32, not specific bits across ISAs).
-// Within one host, results are bit-identical at any thread count: each
-// output element's operation sequence is independent of chunk and row-block
-// boundaries, exactly as argued for the exact kernel.
-// ---------------------------------------------------------------------------
-
-/// Whether the FMA-contracted instantiation can run on this host.
-pub(crate) fn fma_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// One row's contracted `NR`-wide update: `acc[c] = av * bp[c] + acc[c]`
-/// with a single rounding. No zero-skip — the branch buys nothing once the
-/// multiply-add is one instruction.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-fn lane_update_fma(av: f32, bp: &[f32; NR], acc: &mut [f32; NR]) {
-    for c in 0..NR {
-        acc[c] = av.mul_add(bp[c], acc[c]);
-    }
-}
-
-/// FMA row-range core over packed panels: the blocked walk of
-/// [`matmul_rows_packed_impl`] with every lane update contracted. Compiled
-/// only as the `avx2,fma` instantiation below.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-fn matmul_rows_fma_avx2(
-    a: &[f32],
-    packed: &[f32],
-    out_chunk: &mut [f32],
-    row0: usize,
-    k: usize,
-    n: usize,
-) {
-    let m_chunk = out_chunk.len() / n.max(1);
-    let panels = panel_count(n);
-    let mut i = 0;
-    while i < m_chunk {
-        let mr = MR.min(m_chunk - i);
-        let a_base = (row0 + i) * k;
-        for p in 0..panels {
-            let j0 = p * NR;
-            let w = NR.min(n - j0);
-            let panel = &packed[p * k * NR..(p + 1) * k * NR];
-            let (bps, _) = panel.as_chunks::<NR>();
-            let mut acc = [[0.0f32; NR]; MR];
-            if mr == MR {
-                let row = |r: usize| &a[a_base + r * k..a_base + (r + 1) * k];
-                let (r0, r1, r2, r3) = (row(0), row(1), row(2), row(3));
-                for ((((bp, &v0), &v1), &v2), &v3) in
-                    bps.iter().zip(r0).zip(r1).zip(r2).zip(r3)
-                {
-                    lane_update_fma(v0, bp, &mut acc[0]);
-                    lane_update_fma(v1, bp, &mut acc[1]);
-                    lane_update_fma(v2, bp, &mut acc[2]);
-                    lane_update_fma(v3, bp, &mut acc[3]);
-                }
-            } else {
-                for (r, accr) in acc.iter_mut().enumerate().take(mr) {
-                    let base = a_base + r * k;
-                    for (bp, &av) in bps.iter().zip(&a[base..base + k]) {
-                        lane_update_fma(av, bp, accr);
-                    }
-                }
-            }
-            for (r, accr) in acc.iter().enumerate().take(mr) {
-                let o0 = (i + r) * n + j0;
-                out_chunk[o0..o0 + w].copy_from_slice(&accr[..w]);
-            }
-        }
-        i += mr;
-    }
-}
-
-/// Relaxed row-range core: the FMA instantiation when the host supports it,
-/// otherwise the exact packed kernel (correct, just uncontracted).
-pub(crate) fn matmul_rows_relaxed(
-    a: &[f32],
-    packed: &[f32],
-    out_chunk: &mut [f32],
-    row0: usize,
-    k: usize,
-    n: usize,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if fma_available() {
-        // SAFETY: gated on runtime AVX2+FMA detection; the fn is a safe
-        // Rust body that only needs the features to be legal to execute.
-        unsafe {
-            return matmul_rows_fma_avx2(a, packed, out_chunk, row0, k, n);
-        }
-    }
-    matmul_rows_packed(a, packed, out_chunk, row0, k, n);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1171,130 +1049,6 @@ mod tests {
         let want = matmul(&a.transpose(), &b).unwrap();
         let got = matmul_tn(&a, &b).unwrap();
         assert_bits_eq(&got, &want, "tn nonfinite");
-    }
-
-    /// Drives the relaxed row core the way `attention_fused_relaxed` does:
-    /// packs each `b` entry once (plain `[k,n]`, or from `[n,k]` when `nt`),
-    /// then row-chunks the `[.., m, n]` output through the pool, splitting
-    /// each chunk at entry boundaries. `a` and `b` are both rank 2 or both
-    /// rank 3.
-    fn relaxed_gemm(a: &NdArray, b: &NdArray, nt: bool) -> NdArray {
-        let (ra, rb) = (a.rank(), b.rank());
-        let bs = if ra == 3 { a.shape()[0] } else { 1 };
-        let (m, k) = (a.shape()[ra - 2], a.shape()[ra - 1]);
-        let n = if nt { b.shape()[rb - 2] } else { b.shape()[rb - 1] };
-        let mut out = if ra == 3 { NdArray::zeros(&[bs, m, n]) } else { NdArray::zeros(&[m, n]) };
-        if out.data().is_empty() {
-            return out;
-        }
-        let plen = panel_count(n) * k * NR;
-        let mut packed = vec![0.0f32; bs * plen];
-        for e in 0..bs {
-            let be = &b.data()[e * k * n..(e + 1) * k * n];
-            let dst = &mut packed[e * plen..(e + 1) * plen];
-            if nt {
-                pack_bt_panels(be, k, n, dst);
-            } else {
-                pack_b_panels(be, k, n, dst);
-            }
-        }
-        let rows_per_chunk = if pool::should_parallelize(bs * m * k * n, MATMUL_GRAIN) {
-            (pool::grain(MATMUL_GRAIN) / (k * n).max(1)).clamp(1, bs * m)
-        } else {
-            bs * m
-        };
-        let (ad, packed) = (a.data(), &packed[..]);
-        pool::for_each_chunk(out.data_mut(), rows_per_chunk * n, |offset, chunk| {
-            let rows = chunk.len() / n;
-            let mut r = 0;
-            while r < rows {
-                let (e, i0) = ((offset / n + r) / m, (offset / n + r) % m);
-                let run = (m - i0).min(rows - r);
-                matmul_rows_relaxed(
-                    &ad[e * m * k..(e + 1) * m * k],
-                    &packed[e * plen..(e + 1) * plen],
-                    &mut chunk[r * n..(r + run) * n],
-                    i0,
-                    k,
-                    n,
-                );
-                r += run;
-            }
-        });
-        out
-    }
-
-    prop! {
-        #![config(cases = 48)]
-
-        /// Relaxed tier: the FMA row core stays within the analytic
-        /// rounding bound of the uncontracted f32 product (one rounding per
-        /// fused multiply-add versus two), across the full shape grid
-        /// including zero-size and `MIN_PACKED_DIM` edges, for both packings.
-        fn fma_matches_reference_within_bound(
-            mi in 0usize..9,
-            ki in 0usize..9,
-            ni in 0usize..9,
-            salt in 0u64..1000
-        ) {
-            let (m, k, n) = (TDIMS[mi], TDIMS[ki], TDIMS[ni]);
-            let a = grid_array(&[m, k], salt);
-            let b = grid_array(&[k, n], salt ^ 0x0faa);
-            let want = matmul_reference(&a, &b).unwrap();
-            let got = relaxed_gemm(&a, &b, false);
-            prop_assert_eq!(got.shape(), want.shape());
-            for i in 0..m {
-                for j in 0..n {
-                    let abssum: f32 =
-                        (0..k).map(|kk| (a.at(&[i, kk]) * b.at(&[kk, j])).abs()).sum();
-                    // k roundings at eps each, against the running partial
-                    // (bounded by the absolute-value sum), plus slack.
-                    let bound = abssum * k as f32 * f32::EPSILON * 4.0 + 1e-5;
-                    let diff = (got.at(&[i, j]) - want.at(&[i, j])).abs();
-                    prop_assert!(diff <= bound, "({i},{j}): {diff} > {bound}");
-                }
-            }
-            let bt = grid_array(&[n, k], salt ^ 0x0bbb);
-            let want = matmul(&a, &bt.transpose()).unwrap();
-            let got = relaxed_gemm(&a, &bt, true);
-            prop_assert_eq!(got.shape(), want.shape());
-            for i in 0..m {
-                for j in 0..n {
-                    let abssum: f32 =
-                        (0..k).map(|kk| (a.at(&[i, kk]) * bt.at(&[j, kk])).abs()).sum();
-                    let bound = abssum * k as f32 * f32::EPSILON * 4.0 + 1e-5;
-                    let diff = (got.at(&[i, j]) - want.at(&[i, j])).abs();
-                    prop_assert!(diff <= bound, "nt ({i},{j}): {diff} > {bound}");
-                }
-            }
-        }
-
-        /// Relaxed tier: bit-identical at threads {1, 2, 4} — per-element
-        /// operation sequences are independent of chunk and row-block
-        /// boundaries, so fan-out never changes bits *within* the tier.
-        fn fma_is_thread_deterministic(
-            mi in 0usize..9,
-            ki in 0usize..9,
-            ni in 0usize..9,
-            bs in 1usize..4
-        ) {
-            let (m, k, n) = (TDIMS[mi], TDIMS[ki], TDIMS[ni]);
-            let a2 = grid_array(&[m, k], 11);
-            let a3 = grid_array(&[bs, m, k], 13);
-            let b2 = grid_array(&[k, n], 17);
-            let b3 = grid_array(&[bs, n, k], 19);
-            let w2 = pool::with_threads(1, || relaxed_gemm(&a2, &b2, false));
-            let w3 = pool::with_threads(1, || relaxed_gemm(&a3, &b3, true));
-            for threads in [2usize, 4] {
-                let (g2, g3) = pool::with_threads(threads, || {
-                    pool::with_grain(64, || {
-                        (relaxed_gemm(&a2, &b2, false), relaxed_gemm(&a3, &b3, true))
-                    })
-                });
-                assert_bits_eq(&g2, &w2, &format!("fma t{threads}"));
-                assert_bits_eq(&g3, &w3, &format!("nt_fma t{threads}"));
-            }
-        }
     }
 
     #[test]
