@@ -117,8 +117,10 @@ echo "ok: resumed runs byte-identical to uninterrupted runs (threads 1 and 4)"
 echo "== allocation budget: steady-state training step =="
 # The tensor buffer pool and the inline autograd tape keep a steady-state
 # whole-batch training step near-allocation-free (DESIGN.md §10); the probe
-# holds it to ALLOC_BUDGET (seed baseline 8944). TIMEDRL_THREADS=1 so the
-# count does not depend on how many pool workers the host spawns.
+# holds it to ALLOC_BUDGET (seed baseline 8944). It measures the step on 1
+# pool thread and on 2 with every kernel forced to fan out, and fails if the
+# 2-thread step allocates more than the 1-thread one: persistent pool
+# workers must keep their buffer pools warm between calls.
 TIMEDRL_THREADS=1 $probe step_alloc
 echo "ok: allocation budget held"
 

@@ -43,7 +43,8 @@ fn main() {
         // Channel-independent: the standard pipeline.
         let data = timedrl::prepare_forecast_data(&ds, &task);
         let cfg = timedrl_forecast_config(scale, seed);
-        let (_, independent, _) = forecast_linear_eval(&cfg, &data, 1.0);
+        let (_, independent, _) =
+            forecast_linear_eval(&cfg, &data, 1.0).expect("pre-training failed");
 
         // Channel-mixing: model built with n_features = C; probe predicts
         // the flattened multivariate horizon.

@@ -37,7 +37,8 @@ fn main() {
     for &lambda in &scale.lambda_grid() {
         let mut cfg = timedrl_forecast_config(scale, seed);
         cfg.lambda = lambda;
-        let (_, result, _) = forecast_linear_eval(&cfg, &data, 1.0);
+        let (_, result, _) =
+            forecast_linear_eval(&cfg, &data, 1.0).expect("pre-training failed");
         println!("{lambda:>10.3} {:>10.3}", result.mse);
         mse_pts.push((lambda.log10(), result.mse));
         sink.push(LambdaRecord {
@@ -62,7 +63,8 @@ fn main() {
     for &lambda in &scale.lambda_grid() {
         let mut cfg = timedrl_classify_config(&train, scale, seed);
         cfg.lambda = lambda;
-        let (_, report) = classification_linear_eval(&cfg, &train, &test, &probe_config(scale));
+        let (_, report) = classification_linear_eval(&cfg, &train, &test, &probe_config(scale))
+            .expect("pre-training failed");
         println!("{lambda:>10.3} {:>10.2}", report.accuracy * 100.0);
         acc_pts.push((lambda.log10(), report.accuracy * 100.0));
         sink.push(LambdaRecord {

@@ -17,9 +17,9 @@
 //! the exit code: 0 pass, 1 a failed check, 2 a usage error, 3 the typed
 //! precision-mismatch refusal of `serve check`. The `key=value` lines on
 //! stdout are for people reading the log; no gate parses them. Run the
-//! allocation-counting subcommands (`step_alloc`, `serve check`, `stream`)
-//! with `TIMEDRL_THREADS=1`, so the count does not depend on how many pool
-//! workers the host spawns.
+//! allocation-counting subcommands `serve check` and `stream` with
+//! `TIMEDRL_THREADS=1`, so the count does not depend on the host's core
+//! count; `step_alloc` pins its own thread counts (1, then 2).
 
 use std::path::Path;
 use std::process::{Child, Command, ExitCode};
@@ -169,20 +169,40 @@ fn resume(args: &[&str]) -> Outcome {
 // step_alloc: steady-state heap allocations of one whole-batch training step
 // (DESIGN.md §10). The seed code performed 8944; the transpose-aware
 // backward (§12) brought it to 416 and fused attention (§17) to 376. The
-// budget is that measurement plus ~10% headroom.
+// budget is that measurement plus ~10% headroom. The step is measured twice:
+// on one pool thread, and on two with a grain small enough that every
+// kernel fans out. Persistent pool workers keep their buffer pools warm, so
+// the fanned-out step may allocate no more than the serial one.
 // ---------------------------------------------------------------------------
 
 const ALLOC_BUDGET: u64 = 415;
+
+/// Work units per chunk for the fanned-out measurement: far below every
+/// kernel's production grain, so the probe-scale step splits into many
+/// chunks.
+const FAN_OUT_GRAIN: usize = 256;
 
 fn step_alloc(args: &[&str]) -> Outcome {
     let [] = args else { return Err(Failure::Usage) };
     // Two warm-up steps fill the pool buckets; average over several
     // measured steps so a one-off bucket growth doesn't dominate.
-    let per_step = StepHarness::new().allocations_per_step(2, 8);
-    println!("allocs_per_step={per_step} budget={ALLOC_BUDGET} seed_baseline=8944");
-    if per_step > ALLOC_BUDGET {
+    let measure = || StepHarness::new().allocations_per_step(2, 8);
+    let serial = pool::with_threads(1, measure);
+    let fanned = pool::with_threads(2, || pool::with_grain(FAN_OUT_GRAIN, measure));
+    println!(
+        "allocs_per_step={serial} allocs_per_step_2threads={fanned} budget={ALLOC_BUDGET} \
+         seed_baseline=8944"
+    );
+    for (label, per_step) in [("1 thread", serial), ("2 threads", fanned)] {
+        if per_step > ALLOC_BUDGET {
+            return Err(fail(format!(
+                "training step allocates {per_step} blocks on {label}, budget is {ALLOC_BUDGET}"
+            )));
+        }
+    }
+    if fanned > serial {
         return Err(fail(format!(
-            "training step allocates {per_step} blocks, budget is {ALLOC_BUDGET}"
+            "training step allocates {fanned} blocks on 2 threads, more than {serial} on 1"
         )));
     }
     Ok(())

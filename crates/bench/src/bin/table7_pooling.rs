@@ -44,12 +44,14 @@ fn main() {
             if pooling == Pooling::All {
                 cfg.pooling = Pooling::Cls;
                 let (model, _) =
-                    classification_linear_eval(&cfg, &train, &test, &probe_config(scale));
+                    classification_linear_eval(&cfg, &train, &test, &probe_config(scale))
+                        .expect("pre-training failed");
                 // Re-probe with All pooling on the frozen encoder.
                 cells[d] = probe_with_pooling(&model, &train, &test, Pooling::All, scale, seed);
             } else {
                 let (_, report) =
-                    classification_linear_eval(&cfg, &train, &test, &probe_config(scale));
+                    classification_linear_eval(&cfg, &train, &test, &probe_config(scale))
+                        .expect("pre-training failed");
                 cells[d] = report.accuracy * 100.0;
             }
         }

@@ -42,7 +42,8 @@ fn main() {
             let data = forecast_data(&ds, horizon, scale);
             let mut cfg = timedrl_forecast_config(scale, seed);
             cfg.encoder = kind;
-            let (_, result, _) = forecast_linear_eval(&cfg, &data, 1.0);
+            let (_, result, _) =
+                forecast_linear_eval(&cfg, &data, 1.0).expect("pre-training failed");
             cells[d] = result.mse;
         }
         if kind == EncoderKind::TransformerEncoder {

@@ -40,7 +40,8 @@ fn main() {
             // mask the ablation).
             cfg.lambda = 5.0;
             let (model, report) =
-                classification_linear_eval(&cfg, &train, &test, &probe_config(scale));
+                classification_linear_eval(&cfg, &train, &test, &probe_config(scale))
+                    .expect("pre-training failed");
             cells[d] = report.accuracy * 100.0;
             // Collapse diagnostic: std of instance embeddings across the
             // test set.

@@ -68,7 +68,8 @@ pub fn forecast_data(ds: &ForecastDataset, horizon: usize, scale: Scale) -> Fore
 /// TimeDRL's cell of Table III/IV: pre-train + ridge probe.
 pub fn run_timedrl_forecast(data: &ForecastData, scale: Scale, seed: u64) -> ForecastEvalResult {
     let cfg = timedrl_forecast_config(scale, seed);
-    let (_, result, _) = forecast_linear_eval(&cfg, data, RIDGE_LAMBDA);
+    let (_, result, _) =
+        forecast_linear_eval(&cfg, data, RIDGE_LAMBDA).expect("pre-training failed");
     result
 }
 
@@ -97,7 +98,8 @@ pub fn run_timedrl_classification(
     seed: u64,
 ) -> ClassificationReport {
     let cfg = timedrl_classify_config(train, scale, seed);
-    let (_, report) = classification_linear_eval(&cfg, train, test, &probe_config(scale));
+    let (_, report) = classification_linear_eval(&cfg, train, test, &probe_config(scale))
+        .expect("pre-training failed");
     report
 }
 

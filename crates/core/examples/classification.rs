@@ -30,7 +30,8 @@ fn main() {
     let mut cfg = TimeDrlConfig::classification(train.sample_len(), train.features());
     cfg.epochs = 5;
     let probe = LogisticConfig::default();
-    let (model, report) = classification_linear_eval(&cfg, &train, &test, &probe);
+    let (model, report) = classification_linear_eval(&cfg, &train, &test, &probe)
+        .expect("pre-training failed");
     let (acc, mf1, kappa) = report.as_percentages();
     println!("\nlinear evaluation on frozen [CLS] embeddings:");
     println!("  accuracy : {acc:.2}%");

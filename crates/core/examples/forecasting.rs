@@ -34,7 +34,8 @@ fn main() {
     // Pre-train + frozen linear evaluation.
     let mut cfg = TimeDrlConfig::forecasting(task.lookback);
     cfg.epochs = 5;
-    let (model, result, report) = forecast_linear_eval(&cfg, &data, 1.0);
+    let (model, result, report) =
+        forecast_linear_eval(&cfg, &data, 1.0).expect("pre-training failed");
     println!(
         "\npre-training loss: {:.4} -> {:.4}",
         report.total[0],

@@ -3,6 +3,7 @@
 //! scenarios (Fig. 5).
 
 use crate::config::TimeDrlConfig;
+use crate::error::TrainError;
 use crate::model::{channel_independent, TimeDrl};
 use crate::trainer::{gather_rows, pretrain, PretrainReport};
 use timedrl_data::{chrono_split, sliding_windows, ClassifyDataset, ForecastDataset, Standardizer};
@@ -130,17 +131,22 @@ fn fold_targets(targets: &NdArray) -> NdArray {
 ///
 /// Returns the trained model alongside the metrics so ablation harnesses
 /// can reuse the encoder.
+///
+/// # Errors
+/// Whatever [`pretrain`] returns, in particular [`TrainError::InvalidConfig`]
+/// for a config it rejects (such as `epochs: 0`), and
+/// [`TrainError::BadWindows`] when `data`'s lookback differs from
+/// `cfg.input_len` or `cfg.n_features` is not 1 (the pipeline folds
+/// channels, so every window has one).
 pub fn forecast_linear_eval(
     cfg: &TimeDrlConfig,
     data: &ForecastData,
     ridge_lambda: f32,
-) -> (TimeDrl, ForecastEvalResult, PretrainReport) {
-    assert_eq!(cfg.input_len, data.train_inputs.shape()[1], "config/task lookback mismatch");
-    assert_eq!(cfg.n_features, 1, "forecasting pipeline is channel-independent");
+) -> Result<(TimeDrl, ForecastEvalResult, PretrainReport), TrainError> {
     let model = TimeDrl::new(cfg.clone());
-    let report = pretrain(&model, &data.train_inputs).expect("pre-training failed");
+    let report = pretrain(&model, &data.train_inputs)?;
     let result = probe_forecast(&model, data, ridge_lambda);
-    (model, result, report)
+    Ok((model, result, report))
 }
 
 /// Fits and scores the ridge readout for an already-trained encoder.
@@ -159,16 +165,22 @@ pub fn probe_forecast(model: &TimeDrl, data: &ForecastData, ridge_lambda: f32) -
 /// Classification linear evaluation (Section V-B): pre-train on the train
 /// split, freeze, fit a logistic readout on instance-level embeddings,
 /// report on the test split.
+///
+/// # Errors
+/// Whatever [`pretrain`] returns, in particular [`TrainError::InvalidConfig`]
+/// for a config it rejects (such as `epochs: 0`), and
+/// [`TrainError::BadWindows`] when the samples' length or channel count
+/// differs from the config's.
 pub fn classification_linear_eval(
     cfg: &TimeDrlConfig,
     train: &ClassifyDataset,
     test: &ClassifyDataset,
     probe_cfg: &LogisticConfig,
-) -> (TimeDrl, ClassificationReport) {
+) -> Result<(TimeDrl, ClassificationReport), TrainError> {
     let model = TimeDrl::new(cfg.clone());
-    pretrain(&model, &train.to_batch()).expect("pre-training failed");
+    pretrain(&model, &train.to_batch())?;
     let report = probe_classification(&model, train, test, probe_cfg);
-    (model, report)
+    Ok((model, report))
 }
 
 /// Fits and scores the logistic readout for an already-trained encoder.
@@ -453,7 +465,7 @@ mod tests {
         // 7 channels folded into the sample axis.
         assert_eq!(data.train_inputs.shape()[2], 1);
         assert_eq!(data.train_inputs.shape()[0] % 7, 0);
-        let (_, result, report) = forecast_linear_eval(&quick_cfg(32), &data, 1.0);
+        let (_, result, report) = forecast_linear_eval(&quick_cfg(32), &data, 1.0).unwrap();
         assert!(result.mse.is_finite() && result.mse > 0.0);
         assert!(result.mae.is_finite() && result.mae > 0.0);
         assert!(report.final_loss().unwrap().is_finite());
@@ -466,7 +478,7 @@ mod tests {
         // strongly periodic series.
         let ds = etth1(2000, 1);
         let data = prepare_forecast_data(&ds, &quick_task());
-        let (_, result, _) = forecast_linear_eval(&quick_cfg(32), &data, 1.0);
+        let (_, result, _) = forecast_linear_eval(&quick_cfg(32), &data, 1.0).unwrap();
         assert!(result.mse < 1.0, "probe MSE {} should beat variance baseline", result.mse);
     }
 
@@ -501,7 +513,7 @@ mod tests {
         cfg.n_heads = 2;
         cfg.epochs = 3;
         let probe_cfg = LogisticConfig { epochs: 120, ..Default::default() };
-        let (_, report) = classification_linear_eval(&cfg, &train, &test, &probe_cfg);
+        let (_, report) = classification_linear_eval(&cfg, &train, &test, &probe_cfg).unwrap();
         // 10 classes, chance = 10%; structured prototypes should be far
         // above chance even with a tiny model.
         assert!(report.accuracy > 0.3, "accuracy {}", report.accuracy);
@@ -512,7 +524,7 @@ mod tests {
     fn finetune_improves_or_matches_probe() {
         let ds = etth1(1200, 4);
         let data = prepare_forecast_data(&ds, &quick_task());
-        let (model, probe_result, _) = forecast_linear_eval(&quick_cfg(32), &data, 1.0);
+        let (model, probe_result, _) = forecast_linear_eval(&quick_cfg(32), &data, 1.0).unwrap();
         let ft = FinetuneConfig { epochs: 3, ..Default::default() };
         let ft_result = finetune_forecast(&model, &data, &ft, 1.0, 9);
         assert!(ft_result.mse.is_finite());

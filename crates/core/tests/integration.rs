@@ -4,7 +4,7 @@
 
 use timedrl::{
     classification_linear_eval, forecast_linear_eval, prepare_forecast_data, pretrain,
-    EncoderKind, ForecastTask, Pooling, TimeDrl, TimeDrlConfig,
+    EncoderKind, ForecastTask, Pooling, TimeDrl, TimeDrlConfig, TrainError,
 };
 use timedrl_data::synth::classify::epilepsy;
 use timedrl_data::synth::forecast::{etth1, exchange};
@@ -110,7 +110,7 @@ fn exchange_random_walk_needs_revin_denormalization() {
     let ds = exchange(1500, 4).univariate();
     let task = ForecastTask { lookback: 32, horizon: 8, stride: 8 };
     let data = prepare_forecast_data(&ds, &task);
-    let (_, result, _) = forecast_linear_eval(&tiny_cfg(32), &data, 1.0);
+    let (_, result, _) = forecast_linear_eval(&tiny_cfg(32), &data, 1.0).unwrap();
     assert!(result.mse < 0.9, "RevIN probe must exploit window level: mse {}", result.mse);
 }
 
@@ -124,7 +124,7 @@ fn classification_pipeline_beats_chance_on_epilepsy() {
     cfg.n_heads = 2;
     cfg.epochs = 3;
     let probe = LogisticConfig { epochs: 150, ..Default::default() };
-    let (_, report) = classification_linear_eval(&cfg, &train, &test, &probe);
+    let (_, report) = classification_linear_eval(&cfg, &train, &test, &probe).unwrap();
     assert!(report.accuracy > 0.7, "epilepsy accuracy {}", report.accuracy);
     assert!(report.kappa > 0.3, "epilepsy kappa {}", report.kappa);
 }
@@ -193,8 +193,8 @@ fn deterministic_end_to_end() {
     let ds = etth1(1200, 6);
     let task = ForecastTask { lookback: 32, horizon: 8, stride: 16 };
     let data = prepare_forecast_data(&ds, &task);
-    let (_, r1, _) = forecast_linear_eval(&tiny_cfg(32), &data, 1.0);
-    let (_, r2, _) = forecast_linear_eval(&tiny_cfg(32), &data, 1.0);
+    let (_, r1, _) = forecast_linear_eval(&tiny_cfg(32), &data, 1.0).unwrap();
+    let (_, r2, _) = forecast_linear_eval(&tiny_cfg(32), &data, 1.0).unwrap();
     assert_eq!(r1.mse, r2.mse, "same config + seed must reproduce bit-exactly");
 }
 
@@ -237,4 +237,33 @@ fn checkpoint_rejects_mismatched_architecture() {
     let other = TimeDrl::new(other_cfg);
     assert!(other.load(&path).is_err());
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn linear_eval_pipelines_return_typed_errors_on_bad_input() {
+    let ds = etth1(600, 6).univariate();
+    let task = ForecastTask { lookback: 32, horizon: 8, stride: 16 };
+    let data = prepare_forecast_data(&ds, &task);
+    let mut no_epochs = tiny_cfg(32);
+    no_epochs.epochs = 0;
+    assert!(matches!(
+        forecast_linear_eval(&no_epochs, &data, 1.0),
+        Err(TrainError::InvalidConfig(_))
+    ));
+    match forecast_linear_eval(&tiny_cfg(48), &data, 1.0) {
+        Err(TrainError::BadWindows { got, .. }) => assert_eq!(got[1], 32),
+        other => panic!("expected BadWindows for a lookback mismatch, got {:?}", other.err()),
+    }
+
+    let (train, test) = epilepsy(24, 5).train_test_split(0.5, &mut Prng::new(0)).unwrap();
+    let mut cfg = TimeDrlConfig::classification(train.sample_len(), train.features());
+    cfg.d_model = 16;
+    cfg.d_ff = 32;
+    cfg.n_heads = 2;
+    cfg.epochs = 0;
+    let probe = LogisticConfig::default();
+    assert!(matches!(
+        classification_linear_eval(&cfg, &train, &test, &probe),
+        Err(TrainError::InvalidConfig(_))
+    ));
 }

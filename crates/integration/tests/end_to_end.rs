@@ -44,7 +44,7 @@ fn csv_to_forecast_to_checkpoint() {
     cfg.d_ff = 32;
     cfg.n_heads = 2;
     cfg.epochs = 3;
-    let (model, result, _) = forecast_linear_eval(&cfg, &data, 1.0);
+    let (model, result, _) = forecast_linear_eval(&cfg, &data, 1.0).unwrap();
     assert!(result.mse < 1.0, "periodic CSV series must beat the variance baseline: {}", result.mse);
 
     // Checkpoint and restore into a fresh model: identical predictions.
@@ -89,7 +89,7 @@ fn ts_archive_to_classification() {
     cfg.n_heads = 2;
     cfg.epochs = 4;
     let probe_cfg = LogisticConfig { epochs: 150, ..Default::default() };
-    let (model, report) = classification_linear_eval(&cfg, &train, &test, &probe_cfg);
+    let (model, report) = classification_linear_eval(&cfg, &train, &test, &probe_cfg).unwrap();
     assert!(report.accuracy > 0.8, "logistic probe accuracy {}", report.accuracy);
 
     // kNN probe on the same frozen embeddings must also separate classes.
@@ -113,7 +113,7 @@ fn timedrl_and_baseline_share_probe_protocol() {
     cfg.d_ff = 32;
     cfg.n_heads = 2;
     cfg.epochs = 2;
-    let (_, timedrl_result, _) = forecast_linear_eval(&cfg, &data, 1.0);
+    let (_, timedrl_result, _) = forecast_linear_eval(&cfg, &data, 1.0).unwrap();
 
     let mut baseline = Ts2Vec::new(BaselineConfig {
         epochs: 2,

@@ -21,7 +21,8 @@ use testkit::pool;
 
 /// Work-per-chunk target for parallel elementwise kernels, in elements.
 /// Elementwise work is cheap per element, so the grain is large: fanning
-/// out below it would be dominated by thread-spawn cost. Chunk boundaries
+/// out below it would be dominated by handing chunks to a pool worker and
+/// waiting for it. Chunk boundaries
 /// never change per-element results, so the gate affects scheduling only.
 const ELEMWISE_GRAIN: usize = 1 << 17;
 

@@ -14,10 +14,12 @@
 //! No stale data is ever observable, so warm-pool and cold-pool runs are
 //! bit-identical (property-tested in the determinism suite).
 //!
-//! The pool is thread-local. Worker threads spawned by `testkit::pool`
-//! recycle into their own (short-lived) pools; that only affects reuse
-//! efficiency, never values. Buffers freed during thread teardown, when
-//! the thread-local may already be gone, fall back to a plain heap free.
+//! The pool is thread-local. The persistent workers of `testkit::pool`
+//! live for the whole process, so each keeps its own pool warm from one
+//! parallel call to the next, just as the calling thread does; which pool
+//! a block returns to only affects reuse efficiency, never values. Buffers
+//! freed during thread teardown, when the thread-local may already be
+//! gone, fall back to a plain heap free.
 
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};

@@ -322,7 +322,12 @@ fn gemm2d(layout: Layout, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: us
     debug_assert_eq!(a.len(), rows * k);
     debug_assert_eq!(b.len(), k * n);
     let rows_per_chunk = if pool::should_parallelize(rows * k * n, MATMUL_GRAIN) {
-        (pool::grain(MATMUL_GRAIN) / (k * n).max(1)).clamp(1, rows)
+        // Whole `MR`-row blocks: a chunk's leftover rows take the packed
+        // core's edge path, which reads every B panel once per row rather
+        // than once per block. Weight gradients (`TN`, k = batch rows) would
+        // otherwise split into 3- or 7-row chunks and run slower on 2 threads
+        // than on 1.
+        (pool::grain(MATMUL_GRAIN) / (k * n).max(1)).next_multiple_of(MR).clamp(1, rows)
     } else {
         rows
     };

@@ -14,7 +14,8 @@
 //! the shim enabled everywhere does not distort the wall-clock benches.
 //!
 //! Besides the process-wide totals, each thread keeps its own count, to
-//! which `testkit::pool` credits the allocations of the workers it joins.
+//! which `testkit::pool` credits what its workers allocate while running
+//! that thread's parallel calls.
 //! [`count_allocations`] reads that count, so a region is charged for
 //! exactly the work it ran, at any thread count, and not for whatever
 //! other threads (a test harness running tests in parallel) did meanwhile.
@@ -80,14 +81,15 @@ pub fn allocated_bytes() -> u64 {
     ALLOC_BYTES.load(Ordering::Relaxed)
 }
 
-/// Allocation events charged to the calling thread: its own, plus those of
-/// every pool worker it has joined (monotonic).
+/// Allocation events charged to the calling thread: its own, plus those
+/// pool workers performed for its parallel calls (monotonic).
 pub(crate) fn thread_allocation_count() -> u64 {
     THREAD_COUNT.with(Cell::get)
 }
 
 /// Charges `n` allocation events to the calling thread. `testkit::pool`
-/// uses it to hand a joined worker's count to the thread that scheduled it.
+/// uses it to hand the workers' per-call counts to the thread that made
+/// the call.
 pub(crate) fn credit(n: u64) {
     // `try_with` cannot fail for this `const`, drop-free key; it is used
     // so the allocator never risks a panic.
@@ -148,8 +150,8 @@ mod tests {
 
     #[test]
     fn pool_workers_are_credited_to_the_scheduling_thread() {
-        // 8 items × 100 allocations: far more than spawning the workers
-        // costs the scheduling thread itself.
+        // 8 items × 100 allocations: far more than spawning the pool's
+        // workers (once, on first use) costs the scheduling thread itself.
         let items = [0u8; 8];
         for threads in [1, 4] {
             let (_, n) = crate::pool::with_threads(threads, || {

@@ -1,4 +1,4 @@
-//! A from-scratch, zero-dependency scoped thread pool with *deterministic
+//! A from-scratch, zero-dependency persistent thread pool with *deterministic
 //! chunked fan-out* — the workspace's parallel compute runtime.
 //!
 //! # The determinism contract
@@ -27,40 +27,58 @@
 //!
 //! # Scheduling
 //!
-//! Workers are `std::thread::scope` threads spawned per call: chunks are
-//! dealt round-robin to `min(num_threads, n_chunks)` workers at spawn time
-//! (static assignment — uniform chunks need no work stealing). A thread
-//! spawn costs tens of microseconds, so kernels gate the parallel path on a
-//! work estimate via [`should_parallelize`]; below the cutoff they pass a
+//! The pool is persistent. Its workers are OS threads created on first
+//! need, one per lane beyond the first, up to `num_threads() - 1` of the
+//! largest thread count any call has asked for (clamped by
+//! [`MAX_THREADS`]), and parked on a `Mutex` + `Condvar` between calls. A
+//! parallel call runs `min(num_threads, n_chunks)` lanes: the calling
+//! thread runs one itself and wakes one parked worker per other lane, so a
+//! 2-thread call wakes one worker and spawns nothing. Each lane claims the
+//! next unclaimed chunk index from a shared counter until none is left, so
+//! a worker that wakes late (the host's other tenants hold its core) costs
+//! no more than the chunks it actually runs. Once its own lane runs dry,
+//! the caller withdraws the job from workers that have not picked it up
+//! yet and waits only for those that have. A wake-up costs microseconds
+//! rather than a thread spawn, but kernels still gate the parallel path on
+//! a work estimate via [`should_parallelize`]; below the cutoff they pass a
 //! chunk length covering the whole slice and the pool runs inline on the
-//! calling thread. Workers that panic propagate the panic to the caller
-//! when the scope joins.
+//! calling thread.
 //!
-//! Nested use from inside a worker never deadlocks: a worker thread that
-//! calls back into the pool runs the nested work inline (see
-//! [`in_worker`]).
+//! One caller owns the workers at a time. A thread that calls in while
+//! another owns them (tests running in parallel, in-process shard workers)
+//! runs all of its chunks inline instead: the same bits, and it never
+//! blocks on the other region.
+//!
+//! A panicking chunk is caught on the thread that ran it; once every lane
+//! has returned, the panic is re-raised on the caller with its original
+//! payload. The worker survives and serves the next call.
+//!
+//! Nested use from inside a lane never deadlocks: a thread running a lane
+//! (worker or caller) runs nested pool calls inline (see [`in_worker`]).
 //!
 //! # Knobs
 //!
-//! - `TIMEDRL_THREADS` (environment, read once) — worker count; defaults to
-//!   the machine's available parallelism.
+//! - `TIMEDRL_THREADS` (environment, read once) — thread count, the caller
+//!   included; defaults to the machine's available parallelism.
 //! - [`with_threads`] — scoped, thread-local override (tests and benches
 //!   compare thread counts inside one process).
 //! - [`with_grain`] — scoped override of the work-per-chunk target so tests
 //!   can force fine-grained fan-out on inputs far below the production
 //!   cutoff.
 
+use std::any::Any;
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// Hard upper bound on worker threads (a safety clamp for absurd
+/// Hard upper bound on the thread count (a safety clamp for absurd
 /// `TIMEDRL_THREADS` values, not a tuning parameter).
 pub const MAX_THREADS: usize = 256;
 
 /// A kernel fans out only when its total work covers at least this many
-/// grains; fewer would leave spawned threads idle or dominated by spawn
-/// cost.
+/// grains; below that, waking a worker and waiting for it costs more than
+/// the second lane saves.
 pub const MIN_PAR_CHUNKS: usize = 4;
 
 thread_local! {
@@ -71,7 +89,7 @@ thread_local! {
 
 static ENV_THREADS: OnceLock<usize> = OnceLock::new();
 
-/// The worker-thread count in effect on this thread: the innermost
+/// The thread count (caller included) in effect on this thread: the innermost
 /// [`with_threads`] override, else `TIMEDRL_THREADS`, else the machine's
 /// available parallelism. Always at least 1.
 pub fn num_threads() -> usize {
@@ -89,9 +107,11 @@ pub fn num_threads() -> usize {
     })
 }
 
-/// True while executing inside a pool worker. Nested pool calls check this
-/// and run inline, so a kernel that itself uses the pool can be called from
-/// a parallel region without deadlock or thread explosion.
+/// True while this thread runs a lane of a parallel region: always on a
+/// pool worker, and on a caller while it runs its own lane. Nested pool
+/// calls check this and run inline, so a kernel that itself uses the pool
+/// can be called from a parallel region without deadlock or thread
+/// explosion.
 pub fn in_worker() -> bool {
     IN_WORKER.with(Cell::get)
 }
@@ -108,9 +128,9 @@ impl Drop for CellRestore {
     }
 }
 
-/// Runs `f` with the worker-thread count pinned to `n` on this thread
-/// (nestable; restored on exit, including by panic). Parallel regions
-/// entered by `f` use exactly `n` workers regardless of `TIMEDRL_THREADS`.
+/// Runs `f` with the thread count pinned to `n` on this thread (nestable;
+/// restored on exit, including by panic). Parallel regions entered by `f`
+/// use up to `n` lanes regardless of `TIMEDRL_THREADS`.
 pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     let prev = THREADS_OVERRIDE.with(|c| c.replace(Some(n.max(1))));
     let _restore = CellRestore { cell: &THREADS_OVERRIDE, prev };
@@ -139,7 +159,7 @@ pub fn grain(default: usize) -> usize {
 /// Decides whether a kernel with `cost` total work units (against a
 /// `default_grain` per-chunk target) should take its parallel path.
 ///
-/// False when this thread is already a pool worker, when only one thread is
+/// False when this thread is already running a lane, when only one thread is
 /// configured, or when the work would not fill [`MIN_PAR_CHUNKS`] chunks.
 /// The decision gates *scheduling only* — both paths compute bit-identical
 /// results — so it may consult the thread count without breaking the
@@ -155,10 +175,12 @@ pub fn should_parallelize(cost: usize, default_grain: usize) -> bool {
 /// `start_offset` is the chunk's position in `data`.
 ///
 /// Chunks are executed in index order on the calling thread when a single
-/// worker suffices (one chunk, one configured thread, or a nested call from
-/// a worker), otherwise dealt round-robin to scoped worker threads. Every
-/// chunk is an exclusive sub-slice, so workers never alias. A panic in any
-/// worker propagates to the caller after all workers have joined.
+/// lane suffices (one chunk, one configured thread, or a nested call from
+/// a lane), or when another thread owns the workers. Otherwise the caller
+/// and up to `num_threads() - 1` parked workers claim chunk indices from a
+/// shared counter until all are taken. Every chunk is an exclusive
+/// sub-slice, so lanes never alias. A panic in any chunk propagates to the
+/// caller after all lanes have returned.
 pub fn for_each_chunk<T, F>(data: &mut [T], chunk_len: usize, f: F)
 where
     T: Send,
@@ -169,38 +191,233 @@ where
     }
     assert!(chunk_len > 0, "for_each_chunk: chunk_len must be positive");
     let n_chunks = data.len().div_ceil(chunk_len);
-    let workers = num_threads().min(n_chunks);
-    if workers <= 1 || in_worker() {
+    let lanes = num_threads().min(n_chunks);
+    if lanes <= 1 || in_worker() {
         for (ci, chunk) in data.chunks_mut(chunk_len).enumerate() {
             f(ci * chunk_len, chunk);
         }
         return;
     }
-    // Static round-robin assignment: chunk i goes to worker i % workers.
-    // Deterministic results do not depend on this choice (chunks are
-    // independent); it only balances load.
-    let mut lanes: Vec<Vec<(usize, &mut [T])>> = Vec::with_capacity(workers);
-    lanes.resize_with(workers, Vec::new);
-    for (ci, chunk) in data.chunks_mut(chunk_len).enumerate() {
-        lanes[ci % workers].push((ci * chunk_len, chunk));
-    }
-    let f = &f;
-    // Each worker is a fresh thread: its whole allocation count belongs to
-    // this call, and is credited to the calling thread once all have joined.
-    let worker_allocs = &AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        for lane in lanes {
-            scope.spawn(move || {
-                IN_WORKER.with(|w| w.set(true));
-                for (offset, chunk) in lane {
-                    f(offset, chunk);
-                }
-                let own = crate::alloc::thread_allocation_count();
-                worker_allocs.fetch_add(own, Ordering::Relaxed);
-            });
+    let Some(owner) = Owner::acquire() else {
+        // Another region holds the workers: run every chunk here, as a lane,
+        // so nested calls stay inline exactly as they would on a worker.
+        let _lane = LaneFlag::set();
+        for (ci, chunk) in data.chunks_mut(chunk_len).enumerate() {
+            f(ci * chunk_len, chunk);
         }
-    });
-    crate::alloc::credit(worker_allocs.load(Ordering::Relaxed));
+        return;
+    };
+    let len = data.len();
+    // An `AtomicPtr` only because raw pointers are not `Sync`; it is never
+    // stored to, and the job reaches workers through the `STATE` mutex,
+    // which orders everything before the post before every lane.
+    let base = AtomicPtr::new(data.as_mut_ptr());
+    let next = AtomicUsize::new(0);
+    let (f, next) = (&f, &next);
+    // The lane runner is defined inside the one `unsafe` block because it
+    // both cuts raw sub-slices and is handed to workers with its borrows
+    // erased; `lane` itself lives out here, in the caller's frame.
+    let lane;
+    // SAFETY: workers accept only `'static` jobs, so the erasure below
+    // hides the lane runner's borrows of `lane`, `f`, `next` and `data`.
+    // That is sound because `owner.run` neither returns nor unwinds while a
+    // worker can still call the job: the caller runs its own lane under
+    // `catch_unwind`, then withdraws the job under the lock, so no worker
+    // picks it up afterwards, and waits for every worker that did pick it
+    // up to return. Meanwhile `data` is reached only through the
+    // sub-slices the lanes cut from `base`: chunk `ci` lies inside `data`
+    // (`start < len`, and its length is at most `len - start`), and
+    // `fetch_add` hands each index to exactly one lane, so no two live
+    // sub-slices overlap. `T: Send` lets them cross threads, and `F: Sync`
+    // lets lanes share `f`.
+    let job = unsafe {
+        lane = move || {
+            let base = base.load(Ordering::Relaxed);
+            loop {
+                // `Relaxed`: the counter publishes no data, and `fetch_add`
+                // alone makes every index unique.
+                let ci = next.fetch_add(1, Ordering::Relaxed);
+                if ci >= n_chunks {
+                    break;
+                }
+                let start = ci * chunk_len;
+                let chunk_len = chunk_len.min(len - start);
+                f(start, std::slice::from_raw_parts_mut(base.add(start), chunk_len));
+            }
+        };
+        std::mem::transmute::<&(dyn Fn() + Sync), Job>(&lane)
+    };
+    owner.run(job, lanes);
+}
+
+/// A region's lane runner with its borrows erased: `job()` runs unclaimed
+/// chunks until none is left.
+type Job = &'static (dyn Fn() + Sync);
+
+/// The workers' shared state; one region at a time owns it (see [`Owner`]).
+struct State {
+    /// Bumped once per region, so a parked worker can tell a new job from
+    /// one it has already run.
+    epoch: u64,
+    /// The current region's lane runner; `None` once the caller's own lane
+    /// has run dry, so no worker picks it up after that.
+    job: Option<Job>,
+    /// Lanes of the current region, the caller's included: workers `1..lanes`
+    /// may pick up the job.
+    lanes: usize,
+    /// Workers that picked up the current job and have not returned yet.
+    pending: usize,
+    /// Allocation events the current region's workers performed.
+    allocs: u64,
+    /// The first panic payload a worker raised in the current region.
+    panic: Option<Box<dyn Any + Send>>,
+    /// Workers spawned so far; worker `i` (from 1) runs lane `i`.
+    workers: usize,
+}
+
+static STATE: Mutex<State> = Mutex::new(State {
+    epoch: 0,
+    job: None,
+    lanes: 0,
+    pending: 0,
+    allocs: 0,
+    panic: None,
+    workers: 0,
+});
+/// Parked workers wait here for a new epoch.
+static WORK: Condvar = Condvar::new();
+/// The owning caller waits here for `pending` to reach zero.
+static DONE: Condvar = Condvar::new();
+/// Set while some caller owns the workers.
+static OWNED: AtomicBool = AtomicBool::new(false);
+
+/// Every critical section runs only field updates that leave `State` valid
+/// at each step, never a lane, so even a poisoned lock guards valid data.
+fn lock() -> MutexGuard<'static, State> {
+    STATE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Marks the current thread as running a lane, restoring the previous
+/// mark on drop (also when the lane unwinds).
+struct LaneFlag(bool);
+
+impl LaneFlag {
+    fn set() -> Self {
+        LaneFlag(IN_WORKER.with(|w| w.replace(true)))
+    }
+}
+
+impl Drop for LaneFlag {
+    fn drop(&mut self) {
+        let prev = self.0;
+        IN_WORKER.with(|w| w.set(prev));
+    }
+}
+
+/// Exclusive use of the workers for one region.
+struct Owner(());
+
+impl Owner {
+    /// `Acquire` pairs with the `Release` in `drop`, so a new owner sees
+    /// everything the previous one did while it held the workers.
+    fn acquire() -> Option<Owner> {
+        OWNED
+            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+            .is_ok()
+            .then(|| Owner(()))
+    }
+
+    /// Runs `job` on up to `lanes` lanes: one here, the others on parked
+    /// workers (spawning the missing ones once). Returns only after every
+    /// worker that picked up the job has returned, then credits the
+    /// workers' allocations to this thread and re-raises the first panic.
+    fn run(self, job: Job, lanes: usize) {
+        let mut st = lock();
+        while st.workers + 1 < lanes {
+            let lane = st.workers + 1;
+            let seen = st.epoch;
+            let spawned = std::thread::Builder::new()
+                .name(format!("timedrl-pool-{lane}"))
+                .spawn(move || worker(lane, seen));
+            if spawned.is_err() {
+                break;
+            }
+            st.workers = lane;
+        }
+        // If the OS refused a thread, fewer lanes claim the same chunks.
+        st.epoch += 1;
+        st.job = Some(job);
+        st.lanes = lanes.min(st.workers + 1);
+        st.pending = 0;
+        st.allocs = 0;
+        st.panic = None;
+        drop(st);
+        WORK.notify_all();
+
+        let own = {
+            let _lane = LaneFlag::set();
+            catch_unwind(AssertUnwindSafe(job))
+        };
+
+        let mut st = lock();
+        st.job = None;
+        while st.pending > 0 {
+            st = DONE.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+        let allocs = st.allocs;
+        let worker_panic = st.panic.take();
+        drop(st);
+        drop(self);
+        crate::alloc::credit(allocs);
+        if let Err(payload) = own {
+            resume_unwind(payload);
+        }
+        if let Some(payload) = worker_panic {
+            resume_unwind(payload);
+        }
+    }
+}
+
+impl Drop for Owner {
+    fn drop(&mut self) {
+        OWNED.store(false, Ordering::Release);
+    }
+}
+
+/// A worker's life: park until a region with a lane for it is posted, pick
+/// up its job unless the caller has withdrawn it, run it, report back, park
+/// again. It runs for the life of the process,
+/// so nothing joins it; a panic in a lane is caught here and re-raised on
+/// the region's caller, so none goes unseen.
+fn worker(lane: usize, mut seen: u64) {
+    IN_WORKER.with(|w| w.set(true));
+    loop {
+        let job = {
+            let mut st = lock();
+            loop {
+                if st.epoch != seen {
+                    seen = st.epoch;
+                    if let (true, Some(job)) = (lane < st.lanes, st.job) {
+                        st.pending += 1;
+                        break job;
+                    }
+                }
+                st = WORK.wait(st).unwrap_or_else(PoisonError::into_inner);
+            }
+        };
+        let before = crate::alloc::thread_allocation_count();
+        let outcome = catch_unwind(AssertUnwindSafe(job));
+        let allocs = crate::alloc::thread_allocation_count() - before;
+        let mut st = lock();
+        st.allocs += allocs;
+        if let Err(payload) = outcome {
+            st.panic.get_or_insert(payload);
+        }
+        st.pending -= 1;
+        if st.pending == 0 {
+            DONE.notify_one();
+        }
+    }
 }
 
 /// Applies `f(index, &item)` to every item, in parallel, returning results
@@ -364,6 +581,103 @@ mod tests {
             with_threads(7, || panic!("unwind through override"));
         });
         assert_eq!(num_threads(), before);
+    }
+
+    #[test]
+    fn workers_persist_across_regions() {
+        let caller = std::thread::current().id();
+        let mut seen = Vec::new();
+        for _ in 0..200 {
+            let ids: Vec<std::thread::ThreadId> = with_threads(2, || {
+                map_indexed(&[0u8; 4], |_, _| std::thread::current().id())
+            });
+            for id in ids {
+                if id != caller && !seen.contains(&id) {
+                    seen.push(id);
+                }
+            }
+        }
+        assert!(seen.len() <= 1, "200 regions ran chunks on {} worker threads", seen.len());
+    }
+
+    #[test]
+    fn workers_survive_a_panicking_chunk() {
+        use std::sync::atomic::AtomicBool;
+        use std::time::{Duration, Instant};
+        let caller = std::thread::current().id();
+        let (worker_ran, held) = (AtomicBool::new(false), AtomicBool::new(false));
+        let result = std::panic::catch_unwind(|| {
+            with_threads(2, || {
+                for_each_chunk(&mut [0u32; 8], 1, |_, _| {
+                    if std::thread::current().id() != caller {
+                        worker_ran.store(true, Ordering::SeqCst);
+                        panic!("boom on a worker");
+                    }
+                    // Hold the caller's first chunk until the worker has
+                    // claimed one; bounded, because under contention the
+                    // whole region runs inline on this thread.
+                    let (first, start) = (!held.swap(true, Ordering::SeqCst), Instant::now());
+                    while first
+                        && !worker_ran.load(Ordering::SeqCst)
+                        && start.elapsed() < Duration::from_millis(500)
+                    {
+                        std::thread::yield_now();
+                    }
+                });
+            });
+        });
+        assert_eq!(result.is_err(), worker_ran.load(Ordering::SeqCst));
+        let mut data = vec![0usize; 64];
+        with_threads(2, || {
+            for_each_chunk(&mut data, 3, |offset, chunk| {
+                for (i, v) in chunk.iter_mut().enumerate() {
+                    *v = (offset + i) * 3;
+                }
+            });
+        });
+        assert_eq!(data, (0..64).map(|i| i * 3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn concurrent_callers_match_serial() {
+        // Each caller's first region waits in its chunk 0 until the other
+        // caller's first region reaches its own chunk 0, so the two regions
+        // are certain to overlap: one owns the workers, the other runs
+        // inline.
+        let meet = std::sync::Barrier::new(2);
+        let compute = |threads: usize, salt: u32, meet: Option<&std::sync::Barrier>| {
+            let mut out = vec![0.0f32; 2048];
+            with_threads(threads, || {
+                for_each_chunk(&mut out, 31, |offset, chunk| {
+                    if let (0, Some(meet)) = (offset, meet) {
+                        meet.wait();
+                    }
+                    for (i, v) in chunk.iter_mut().enumerate() {
+                        let x = (offset + i) as f32 + salt as f32;
+                        *v = (x * 0.13).sin() * x.sqrt();
+                    }
+                });
+            });
+            out
+        };
+        let serial: Vec<Vec<f32>> = (0..2).map(|salt| compute(1, salt, None)).collect();
+        std::thread::scope(|s| {
+            let runs: Vec<_> = (0..2u32)
+                .map(|salt| {
+                    let (compute, meet) = (&compute, &meet);
+                    s.spawn(move || {
+                        let mut outs = vec![compute(2, salt, Some(meet))];
+                        outs.extend((0..50).map(|_| compute(2, salt, None)));
+                        outs
+                    })
+                })
+                .collect();
+            for (salt, run) in runs.into_iter().enumerate() {
+                for got in run.join().expect("caller thread panicked") {
+                    assert_eq!(got, serial[salt], "caller {salt}");
+                }
+            }
+        });
     }
 
     #[test]
