@@ -69,7 +69,11 @@ cargo build --release --offline -p timedrl-bench --bin probe
 cargo build --release --offline -p timedrl-serve --bin embed_server
 probe=./target/release/probe
 probe_dir=$(mktemp -d)
-trap 'rm -rf "$probe_dir"' EXIT
+server_pid=
+# Every exit path, a signal included, stops a background server and removes
+# the scratch directory.
+trap '[ -n "$server_pid" ] && kill "$server_pid" 2>/dev/null; rm -rf "$probe_dir"' EXIT
+trap 'exit 130' INT TERM HUP
 
 echo "== determinism probe: checkpoint byte-equality across thread counts =="
 # A tiny data-parallel pretrain must serialize identically no matter how
@@ -137,13 +141,41 @@ echo "== serving gate: compiled inference parity + zero allocs/request =="
 # The tape-free serving path (DESIGN.md §13): export a fixture model, run
 # the real embed_server binary over its stdin/stdout frame protocol, then
 # verify (a) the compiled forward is byte-identical to the tape-path
-# golden outputs, (b) every server response carries those same bytes, and
-# (c) a warmed request performs zero heap allocations.
+# golden outputs, (b) every server response carries those same bytes,
+# (c) a warmed request performs zero heap allocations, and (d) the server
+# answers the same requests over TCP with the same bytes.
 serve_dir="$probe_dir/serve"
 TIMEDRL_THREADS=1 $probe serve prepare "$serve_dir"
 TIMEDRL_THREADS=1 ./target/release/embed_server --stdio "$serve_dir/model.tdrl" \
     < "$serve_dir/request.bin" > "$serve_dir/response.bin"
 TIMEDRL_THREADS=1 $probe serve check "$serve_dir"
+# The same fixture over TCP: both request frames, pipelined on one
+# connection, must come back as exactly the stdio response bytes.
+TIMEDRL_THREADS=1 ./target/release/embed_server --tcp 127.0.0.1:0 "$serve_dir/model.tdrl" \
+    2> "$serve_dir/tcp.log" &
+server_pid=$!
+port=
+for _ in $(seq 300); do
+    port=$(sed -n 's/^embed_server: listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' "$serve_dir/tcp.log")
+    if [ -n "$port" ] || ! kill -0 "$server_pid" 2>/dev/null; then break; fi
+    sleep 0.1
+done
+if [ -z "$port" ]; then
+    echo "FAIL: embed_server --tcp never reported the address it bound"
+    cat "$serve_dir/tcp.log"
+    exit 1
+fi
+exec 3<>"/dev/tcp/127.0.0.1/$port"
+cat "$serve_dir/request.bin" >&3
+timeout 30 head -c "$(wc -c < "$serve_dir/response.bin")" <&3 > "$serve_dir/response_tcp.bin"
+exec 3<&-
+kill "$server_pid"
+wait "$server_pid" 2>/dev/null || true
+server_pid=
+if ! cmp "$serve_dir/response.bin" "$serve_dir/response_tcp.bin"; then
+    echo "FAIL: embed_server --tcp answers differ from --stdio on the same requests"
+    exit 1
+fi
 # Re-run the strict bitwise parity suite (tape parity at every batch and
 # thread count, and an artifact tagged relaxed serving exact bits).
 TIMEDRL_THREADS=1 cargo test --offline -q -p timedrl-serve --test parity

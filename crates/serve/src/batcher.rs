@@ -1,10 +1,14 @@
 //! Micro-batch coalescing: many pending requests, one encoder pass.
 //!
-//! The server drains whatever requests are queued at the instant the
-//! encoder goes idle and runs them as a single stacked batch (capped by
-//! `max_batch`) — batch size adapts to instantaneous load instead of
-//! waiting on a timer. Cached windows are filled from the [`EmbedCache`]
-//! and only the misses reach the encoder.
+//! The TCP server's compute thread drains whatever requests are queued at
+//! the instant the encoder goes idle and runs them as a single stacked
+//! batch (capped by `max_batch`) — batch size adapts to instantaneous load
+//! instead of waiting on a timer. The stream server runs each request
+//! through the same path alone. Cached windows are filled from the
+//! [`EmbedCache`] and only the misses reach the encoder.
+//!
+//! Coalescing pays, if slightly: stacked shapes embed a window in less
+//! time than batch 1 does (DESIGN.md §13 has the measurement).
 //!
 //! Coalescing is *semantically invisible*: every compiled kernel is
 //! batch-position invariant (each output row depends only on its own

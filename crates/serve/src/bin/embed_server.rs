@@ -7,8 +7,9 @@
 //!
 //! `--stdio` answers length-prefixed frames on stdin/stdout until
 //! end-of-stream (session stats go to stderr); `--tcp` listens forever,
-//! coalescing concurrent connections into micro-batches on one compute
-//! thread. The wire format is documented in `timedrl_serve::protocol`.
+//! logs the address it bound (so port `0` works), and coalesces concurrent
+//! connections into micro-batches on one compute thread, which warms its
+//! own arena. The wire format is documented in `timedrl_serve::protocol`.
 //! Responses are bitwise-equal to the eval-mode tape forward and tagged
 //! exact on the wire. Any other flag is a usage error (exit code 2).
 
@@ -71,10 +72,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Pre-size the arena for the coalesced batch sizes the server will
-    // actually run, so the very first request is already allocation-free.
-    model.warm(1);
-    model.warm(cfg.max_batch);
 
     match kind {
         "stdio" => {
@@ -98,14 +95,15 @@ fn main() -> ExitCode {
             }
         }
         "tcp" => {
-            let listener = match std::net::TcpListener::bind(&addr) {
-                Ok(l) => l,
+            let bound = std::net::TcpListener::bind(&addr).and_then(|l| Ok((l.local_addr()?, l)));
+            let (local, listener) = match bound {
+                Ok(pair) => pair,
                 Err(e) => {
                     eprintln!("embed_server: cannot bind {addr}: {e}");
                     return ExitCode::FAILURE;
                 }
             };
-            eprintln!("embed_server: listening on {addr}");
+            eprintln!("embed_server: listening on {local}");
             match serve_tcp(model, listener, cfg) {
                 Ok(()) => ExitCode::SUCCESS,
                 Err(e) => {

@@ -17,8 +17,10 @@
 //! - [`EmbedCache`] — an LRU cache of per-window embeddings, keyed by
 //!   window hash with exact bit-level confirmation;
 //! - [`Batcher`] — adaptive micro-batch coalescing of queued requests;
-//! - [`serve_stream`] / [`serve_tcp`] — the serving loops behind the
-//!   `embed_server` binary.
+//! - [`serve_stream`] / [`serve_tcp`] — the two transports behind the
+//!   `embed_server` binary. Both run one frame loop; over TCP, each
+//!   connection thread hands its decoded windows to the one compute
+//!   thread, which warms its own arena and coalesces what is queued.
 //!
 //! Cache and coalescer are *semantically invisible*: a served byte stream
 //! is identical with them on or off (`tests/invisibility.rs`), and every
