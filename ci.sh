@@ -137,6 +137,16 @@ echo "== fused-attention gate: bitwise parity + speedup over materialized path =
 TIMEDRL_THREADS=1 $probe attn
 echo "ok: fused attention bit-exact and fast enough"
 
+echo "== fused-node gate: LayerNorm and GELU nodes bitwise equal to their composed chains =="
+# The fused LayerNorm and GELU tape nodes (DESIGN.md §18) replaced composed
+# chains on every path: tape, compiled plan and stream. The probe proves the
+# value and every gradient bit-identical to those chains on rank 1-3,
+# width-1, odd-width and Fig. 4 shapes, serially and fanned out.
+for threads in 1 4; do
+    TIMEDRL_THREADS=$threads $probe fused
+done
+echo "ok: fused LayerNorm and GELU nodes bit-exact"
+
 echo "== serving gate: compiled inference parity + zero allocs/request =="
 # The tape-free serving path (DESIGN.md §13): export a fixture model, run
 # the real embed_server binary over its stdin/stdout frame protocol, then

@@ -210,7 +210,7 @@ fn fig4_ops() -> Vec<Fig4Op> {
             std::hint::black_box(scores.softmax_lastdim());
         })),
         op("gelu_map_32x33x64", ELEMWISE_GRAIN, Box::new(move || {
-            std::hint::black_box(hidden.map(|v| 0.5 * v * (1.0 + (0.797_884_6 * v).tanh())));
+            std::hint::black_box(hidden.gelu());
         })),
         op("bias_add_32x33x32", ELEMWISE_GRAIN, Box::new(move || {
             std::hint::black_box(act.add(&bias));

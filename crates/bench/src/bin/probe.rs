@@ -5,6 +5,7 @@
 //! probe resume straight <model-out> | phase1 <state-out> | phase2 <state-in> <model-out>
 //! probe step_alloc
 //! probe attn
+//! probe fused
 //! probe shard prepare <shard-dir>
 //!           | worker <shard-dir> <run-dir> <w> <n> [--die-at-step K]
 //!           | run <shard-dir> <run-dir> <n> <model-out>
@@ -38,7 +39,7 @@ use timedrl_tensor::{attention_fused, attention_reference, NdArray, Prng, Var};
 
 /// Printed on a usage error; the module docs list each subcommand's arguments.
 const USAGE: &str =
-    "usage: probe <pretrain_checkpoint|resume|step_alloc|attn|shard|serve|stream> [args]";
+    "usage: probe <pretrain_checkpoint|resume|step_alloc|attn|fused|shard|serve|stream> [args]";
 
 /// Why a probe did not pass; each variant has its own exit code.
 enum Failure {
@@ -168,27 +169,47 @@ fn resume(args: &[&str]) -> Outcome {
 // ---------------------------------------------------------------------------
 // step_alloc: steady-state heap allocations of one whole-batch training step
 // (DESIGN.md §10). The seed code performed 8944; the transpose-aware
-// backward (§12) brought it to 416 and fused attention (§17) to 376. The
-// budget is that measurement plus ~10% headroom. The step is measured twice:
+// backward (§12) brought it to 416, fused attention (§17) to 376 and the
+// fused LayerNorm and GELU nodes (§18) to 287. The budget is that
+// measurement plus ~10% headroom. The step is measured twice:
 // on one pool thread, and on two with a grain small enough that every
 // kernel fans out. Persistent pool workers keep their buffer pools warm, so
 // the fanned-out step may allocate no more than the serial one.
 // ---------------------------------------------------------------------------
 
-const ALLOC_BUDGET: u64 = 415;
+const ALLOC_BUDGET: u64 = 316;
 
 /// Work units per chunk for the fanned-out measurement: far below every
 /// kernel's production grain, so the probe-scale step splits into many
 /// chunks.
 const FAN_OUT_GRAIN: usize = 256;
 
+/// Most warm-up steps the fanned-out measurement may take to reach the
+/// serial step's count.
+const MAX_FAN_OUT_WARMUP: usize = 16;
+
 fn step_alloc(args: &[&str]) -> Outcome {
     let [] = args else { return Err(Failure::Usage) };
     // Two warm-up steps fill the pool buckets; average over several
     // measured steps so a one-off bucket growth doesn't dominate.
-    let measure = || StepHarness::new().allocations_per_step(2, 8);
-    let serial = pool::with_threads(1, measure);
-    let fanned = pool::with_threads(2, || pool::with_grain(FAN_OUT_GRAIN, measure));
+    let serial = pool::with_threads(1, || StepHarness::new().allocations_per_step(2, 8));
+    // A new pool worker fills its own buckets the first time it runs a
+    // chunk of each kernel, and on a busy host it may sit out the first
+    // steps' regions. So the fanned-out harness warms until one step
+    // allocates no more than the serial step (at most MAX_FAN_OUT_WARMUP
+    // steps), then measures. Workers that lost their pools between calls
+    // would never get there, and the measured steps would show it.
+    let fanned = pool::with_threads(2, || {
+        pool::with_grain(FAN_OUT_GRAIN, || {
+            let mut harness = StepHarness::new();
+            for _ in 0..MAX_FAN_OUT_WARMUP {
+                if count_allocations(|| harness.step()).1 <= serial {
+                    break;
+                }
+            }
+            harness.allocations_per_step(1, 8)
+        })
+    });
     println!(
         "allocs_per_step={serial} allocs_per_step_2threads={fanned} budget={ALLOC_BUDGET} \
          seed_baseline=8944"
@@ -322,6 +343,118 @@ fn attn(args: &[&str]) -> Outcome {
             "fused attention is only {speedup:.2}x the materialized path (budget {MIN_SPEEDUP}x)"
         )));
     }
+    Ok(())
+}
+
+// ---------------------------------------------------------------------------
+// fused: the fused LayerNorm and GELU tape nodes (DESIGN.md §18). Each must
+// equal its composed chain bit for bit: the LayerNorm node's value, dx, dγ
+// and dβ against the eleven-node `mean_axis → sub → mul → mean_axis →
+// add_scalar → sqrt → div → mul → add` graph, and the GELU node's value
+// against the composed tanh graph and its dx against the closed-form
+// derivative applied to that graph's own `t`. Shapes cover rank 1–3, width
+// 1, odd widths and the Fig. 4 widths, each run serially and with a grain
+// small enough that every kernel fans out over the pool threads that
+// TIMEDRL_THREADS allows.
+// ---------------------------------------------------------------------------
+
+/// LayerNorm parity shapes: rank 1, width 1, odd widths, Fig. 4 `[B, S, D]`.
+const LN_SHAPES: [&[usize]; 7] = [&[6], &[7, 1], &[2, 3, 1], &[5, 13], &[3, 4, 7], &[1, 9], &[32, 33, 32]];
+
+/// GELU parity shapes, ending with the Fig. 4 feed-forward width.
+const GELU_SHAPES: [&[usize]; 4] = [&[1], &[5, 13], &[3, 4, 7], &[32, 33, 64]];
+
+/// Grain for the fanned-out runs: small enough to split every shape above.
+const FUSED_FAN_OUT_GRAIN: usize = 8;
+
+/// The composed LayerNorm chain the fused node replaced.
+fn composed_layer_norm(x: &Var, gamma: &Var, beta: &Var, eps: f32) -> Var {
+    let last = x.shape().len() - 1;
+    let mean = x.mean_axis(last, true);
+    let centered = x.sub(&mean);
+    let var = centered.mul(&centered).mean_axis(last, true);
+    let std = var.add_scalar(eps).sqrt();
+    centered.div(&std).mul(gamma).add(beta)
+}
+
+/// The composed tanh-GELU chain `0.5·v·(1 + tanh(C·(v + A·v·v·v)))`,
+/// returning the value and its `tanh` node.
+fn composed_gelu(x: &Var) -> (Var, Var) {
+    const C: f32 = 0.797_884_6;
+    const A: f32 = 0.044_715;
+    let t = x.scale(A).mul(x).mul(x).add(x).scale(C).tanh_act();
+    (x.scale(0.5).mul(&t.add_scalar(1.0)), t)
+}
+
+/// The seed GELU node's backward: `g · GELU'(v)` from the saved `t`.
+fn gelu_grad_oracle(x: &NdArray, t: &NdArray, g: &NdArray) -> NdArray {
+    const C: f32 = 0.797_884_6;
+    const A: f32 = 0.044_715;
+    let slope = x
+        .zip_map(t, |v, t| 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * C * (1.0 + 3.0 * A * v * v))
+        .expect("same shape");
+    g.mul(&slope)
+}
+
+fn check_layer_norm_parity(shape: &[usize], what: &str) -> Outcome {
+    let dim = *shape.last().expect("rank >= 1");
+    let mut rng = Prng::new(31 + shape.iter().sum::<usize>() as u64);
+    let x0 = rng.randn(shape).scale(2.0).add_scalar(0.5);
+    let g0 = rng.randn(&[dim]).add_scalar(1.0);
+    let b0 = rng.randn(&[dim]);
+    let dy = rng.randn(shape);
+    let run = |composed: bool| {
+        let (x, gamma, beta) =
+            (Var::parameter(x0.clone()), Var::parameter(g0.clone()), Var::parameter(b0.clone()));
+        let y = if composed {
+            composed_layer_norm(&x, &gamma, &beta, 1e-5)
+        } else {
+            x.layer_norm(&gamma, &beta, 1e-5)
+        };
+        y.backward_with(dy.clone());
+        [y.to_array(), x.grad().expect("dx"), gamma.grad().expect("dγ"), beta.grad().expect("dβ")]
+    };
+    let (fused, composed) = (run(false), run(true));
+    for (name, (f, c)) in ["value", "dx", "dγ", "dβ"].iter().zip(fused.iter().zip(&composed)) {
+        check_bits(f, c, &format!("layer_norm {name} {shape:?} {what}"))?;
+    }
+    Ok(())
+}
+
+fn check_gelu_parity(shape: &[usize], what: &str) -> Outcome {
+    let mut rng = Prng::new(53 + shape.iter().sum::<usize>() as u64);
+    let x0 = rng.randn(shape).scale(2.0);
+    let dy = rng.randn(shape);
+    let x = Var::parameter(x0.clone());
+    let y = x.gelu();
+    y.backward_with(dy.clone());
+    let (value, t) = composed_gelu(&Var::constant(x0.clone()));
+    check_bits(&y.to_array(), &value.to_array(), &format!("gelu value {shape:?} {what}"))?;
+    let dx = gelu_grad_oracle(&x0, &t.to_array(), &dy);
+    check_bits(&x.grad().expect("dx"), &dx, &format!("gelu dx {shape:?} {what}"))
+}
+
+fn fused(args: &[&str]) -> Outcome {
+    let [] = args else { return Err(Failure::Usage) };
+    let threads = pool::num_threads();
+    for (fan_out, what) in [(false, "serial"), (true, "fanned out")] {
+        let what = format!("{what}, {threads} threads");
+        let run = || -> Outcome {
+            for shape in LN_SHAPES {
+                check_layer_norm_parity(shape, &what)?;
+            }
+            for shape in GELU_SHAPES {
+                check_gelu_parity(shape, &what)?;
+            }
+            Ok(())
+        };
+        if fan_out {
+            pool::with_grain(FUSED_FAN_OUT_GRAIN, run)?;
+        } else {
+            pool::with_threads(1, run)?;
+        }
+    }
+    println!("fused_parity=ok threads={threads}");
     Ok(())
 }
 
@@ -647,6 +780,7 @@ fn main() -> ExitCode {
         "resume" => resume(rest),
         "step_alloc" => step_alloc(rest),
         "attn" => attn(rest),
+        "fused" => fused(rest),
         "shard" => shard(rest),
         "serve" => serve(rest),
         "stream" => stream(rest),

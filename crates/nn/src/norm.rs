@@ -25,15 +25,11 @@ impl LayerNorm {
         }
     }
 
-    /// Normalizes `[..., dim]`-shaped input over its last axis.
+    /// Normalizes `[..., dim]`-shaped input over its last axis: one fused
+    /// tape node ([`Var::layer_norm`]).
     pub fn forward(&self, x: &Var) -> Var {
-        let last = x.shape().len() - 1;
-        debug_assert_eq!(x.shape()[last], self.dim, "LayerNorm width mismatch");
-        let mean = x.mean_axis(last, true);
-        let centered = x.sub(&mean);
-        let var = centered.mul(&centered).mean_axis(last, true);
-        let inv_std = var.add_scalar(self.eps).sqrt();
-        centered.div(&inv_std).mul(&self.gamma).add(&self.beta)
+        debug_assert_eq!(x.shape().last(), Some(&self.dim), "LayerNorm width mismatch");
+        x.layer_norm(&self.gamma, &self.beta, self.eps)
     }
 }
 

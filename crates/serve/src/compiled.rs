@@ -366,14 +366,14 @@ impl CompiledModel {
             .permute(&[0, 2, 1, 3])
             .reshape(&[b, s, d])?;
         let attn_out = matmul(&merged, &blk.wo)?.add(&blk.bo);
-        Ok(layer_norm(&h.add(&attn_out), &blk.ln1_g, &blk.ln1_b))
+        Ok(h.add(&attn_out).layer_norm(&blk.ln1_g, &blk.ln1_b, EPS))
     }
 
     fn feed_forward(&self, i: usize, h: &NdArray) -> Result<NdArray> {
         let blk = &self.blocks[i];
-        let a = gelu(&matmul(h, &blk.ff1_w)?.add(&blk.ff1_b));
+        let a = matmul(h, &blk.ff1_w)?.add(&blk.ff1_b).gelu();
         let ff = matmul(&a, &blk.ff2_w)?.add(&blk.ff2_b);
-        Ok(layer_norm(&h.add(&ff), &blk.ln2_g, &blk.ln2_b))
+        Ok(h.add(&ff).layer_norm(&blk.ln2_g, &blk.ln2_b, EPS))
     }
 
     /// Pooling + `z_t` slice off the final token sequence `z ∈ [B, S, D]`.
@@ -389,25 +389,4 @@ impl CompiledModel {
         let z_t = z.slice(1, 1, t_p)?;
         Ok(Embeddings { z_i, z_t })
     }
-}
-
-/// The tape's LayerNorm value chain, verbatim: mean over the last axis,
-/// center, population variance, `(x−μ)/√(σ²+ε) · γ + β`.
-fn layer_norm(x: &NdArray, gamma: &NdArray, beta: &NdArray) -> NdArray {
-    let last = x.rank() - 1;
-    let mean = x.mean_axis(last, true);
-    let centered = x.sub(&mean);
-    let var = centered.mul(&centered).mean_axis(last, true);
-    let std = var.add_scalar(EPS).sqrt();
-    centered.div(&std).mul(gamma).add(beta)
-}
-
-/// The tape's tanh-approximation GELU, same constants and expression.
-fn gelu(x: &NdArray) -> NdArray {
-    const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    const A: f32 = 0.044_715;
-    x.map(|v| {
-        let u = C * (v + A * v * v * v);
-        0.5 * v * (1.0 + u.tanh())
-    })
 }

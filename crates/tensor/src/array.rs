@@ -24,12 +24,12 @@ use testkit::pool;
 /// out below it would be dominated by handing chunks to a pool worker and
 /// waiting for it. Chunk boundaries
 /// never change per-element results, so the gate affects scheduling only.
-const ELEMWISE_GRAIN: usize = 1 << 17;
+pub(crate) const ELEMWISE_GRAIN: usize = 1 << 17;
 
 /// Work-per-chunk target for row-fused kernels (softmax family), in
 /// elements; lower than [`ELEMWISE_GRAIN`] because each element costs an
 /// `exp`.
-const ROWWISE_GRAIN: usize = 1 << 15;
+pub(crate) const ROWWISE_GRAIN: usize = 1 << 15;
 
 /// A dense, row-major, f32 n-dimensional array.
 ///

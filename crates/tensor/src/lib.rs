@@ -28,6 +28,7 @@ mod array;
 mod attention;
 pub mod bufpool;
 mod error;
+mod fused;
 pub mod gradcheck;
 mod init;
 mod matmul;

@@ -26,11 +26,6 @@ use crate::init::Prng;
 use crate::matmul::{matmul, matmul_nt, matmul_tn, matmul_tn_fold};
 use crate::shape::Dims;
 
-/// `sqrt(2/pi)`, the GELU tanh-approximation scale.
-const GELU_C: f32 = 0.797_884_6;
-/// The GELU tanh-approximation cubic coefficient.
-const GELU_A: f32 = 0.044_715;
-
 static NEXT_ID: AtomicU64 = AtomicU64::new(0);
 
 /// The backward rule of a graph node. Built-in ops store their saved
@@ -56,6 +51,7 @@ enum Backward {
     Sigmoid { s: NdArray },
     Tanh { t: NdArray },
     Gelu { t: NdArray },
+    LayerNorm { eps: f32 },
     Matmul { ls: Dims, rs: Dims },
     MatmulNT { ls: Dims, rs: Dims },
     MatmulTN { ls: Dims, rs: Dims },
@@ -75,7 +71,7 @@ enum Backward {
     Custom(Box<dyn Fn(&NdArray) -> Vec<NdArray>>),
 }
 
-/// Inline parent list. Every primitive op has one or two parents, so the
+/// Inline parent list. Every primitive op has one to three parents, so the
 /// common cases carry them without a heap allocation; only variadic ops
 /// ([`Var::concat`], [`Var::custom`]) spill to a `Vec`. One fewer
 /// allocation per graph node (DESIGN.md §10).
@@ -83,6 +79,7 @@ enum Parents {
     None,
     One([Var; 1]),
     Two([Var; 2]),
+    Three([Var; 3]),
     Many(Vec<Var>),
 }
 
@@ -100,43 +97,48 @@ impl Parents {
             Parents::None => &[],
             Parents::One(a) => a,
             Parents::Two(a) => a,
+            Parents::Three(a) => a,
             Parents::Many(v) => v,
         }
     }
 }
 
 /// Inline gradient list returned by backward closures — the by-value
-/// counterpart of [`Parents`]: one or two gradients ride inline, variadic
+/// counterpart of [`Parents`]: up to three gradients ride inline, variadic
 /// ops spill. An empty `spill` vec never allocates, so the per-node
 /// `Vec<NdArray>` of the old signature is gone.
 pub struct Grads {
-    a: Option<NdArray>,
-    b: Option<NdArray>,
+    inline: [Option<NdArray>; 3],
     spill: Vec<NdArray>,
 }
 
 impl Grads {
     /// A single parent gradient.
     pub fn one(g: NdArray) -> Self {
-        Self { a: Some(g), b: None, spill: Vec::new() }
+        Self { inline: [Some(g), None, None], spill: Vec::new() }
     }
 
     /// Two parent gradients, in parent order.
     pub fn two(ga: NdArray, gb: NdArray) -> Self {
-        Self { a: Some(ga), b: Some(gb), spill: Vec::new() }
+        Self { inline: [Some(ga), Some(gb), None], spill: Vec::new() }
+    }
+
+    /// Three parent gradients, in parent order.
+    pub fn three(ga: NdArray, gb: NdArray, gc: NdArray) -> Self {
+        Self { inline: [Some(ga), Some(gb), Some(gc)], spill: Vec::new() }
     }
 
     /// Arbitrarily many parent gradients, in parent order.
     pub fn many(gs: Vec<NdArray>) -> Self {
-        Self { a: None, b: None, spill: gs }
+        Self { inline: [None, None, None], spill: gs }
     }
 
     fn len(&self) -> usize {
-        usize::from(self.a.is_some()) + usize::from(self.b.is_some()) + self.spill.len()
+        self.inline.iter().flatten().count() + self.spill.len()
     }
 
     fn into_iter(self) -> impl Iterator<Item = NdArray> {
-        self.a.into_iter().chain(self.b).chain(self.spill)
+        self.inline.into_iter().flatten().chain(self.spill)
     }
 }
 
@@ -197,14 +199,10 @@ impl Backward {
                 Grads::one(g.mul(&s.zip_map(s, |a, _| a * (1.0 - a)).expect("sigmoid grad")))
             }
             Backward::Tanh { t } => Grads::one(g.mul(&t.map(|v| 1.0 - v * v))),
-            Backward::Gelu { t } => {
-                // `t = tanh(C·(v + A·v³))` was saved by the forward pass.
-                let dx = parent(0)
-                    .zip_map(t, |v, t| {
-                        0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * GELU_C * (1.0 + 3.0 * GELU_A * v * v)
-                    })
-                    .expect("gelu grad");
-                Grads::one(g.mul(&dx))
+            Backward::Gelu { t } => Grads::one(parent(0).gelu_backward(t, g)),
+            Backward::LayerNorm { eps } => {
+                let (dx, dgamma, dbeta) = parent(0).layer_norm_backward(&parent(1), g, *eps);
+                Grads::three(dx, dgamma, dbeta)
             }
             Backward::Matmul { ls, rs } => {
                 let (a, b) = (parent(0), parent(1));
@@ -325,7 +323,7 @@ impl Backward {
                 let (q, k, v) = (parent(0), parent(1), parent(2));
                 let (dq, dk, dv) =
                     attention_fused_backward(&q, &k, &v, g, *scale, *causal, mask.as_ref())?;
-                Grads::many(vec![dq, dk, dv])
+                Grads::three(dq, dk, dv)
             }
             Backward::Custom(f) => Grads::many(f(g)),
         })
@@ -613,15 +611,26 @@ impl Var {
         Var::op(out, Parents::one(self.clone()), Backward::Tanh { t })
     }
 
-    /// Gaussian error linear unit (tanh approximation, as in BERT/PatchTST).
+    /// Gaussian error linear unit (tanh approximation, as in BERT/PatchTST):
+    /// one fused node that saves `t = tanh(C·(v + A·v³))` for its backward
+    /// ([`NdArray::gelu`]).
     pub fn gelu(&self) -> Var {
-        let (t, out) = {
-            let v = self.value();
-            let t = v.map(|v| (GELU_C * (v + GELU_A * v * v * v)).tanh());
-            let out = v.zip_map(&t, |v, t| 0.5 * v * (1.0 + t)).expect("gelu: same shape");
-            (t, out)
-        };
+        let (out, t) = self.value().gelu_with_tanh();
         Var::op(out, Parents::one(self.clone()), Backward::Gelu { t })
+    }
+
+    /// LayerNorm over the last axis with affine `gamma`/`beta` (one value
+    /// per column): one fused node, value and gradients bit-identical to
+    /// the composed `mean_axis → sub → mul → mean_axis → add_scalar → sqrt
+    /// → div → mul → add` chain ([`NdArray::layer_norm`]). The backward
+    /// recomputes the row statistics from the input; nothing is saved.
+    pub fn layer_norm(&self, gamma: &Var, beta: &Var, eps: f32) -> Var {
+        let out = self.value().layer_norm(&gamma.value(), &beta.value(), eps);
+        Var::op(
+            out,
+            Parents::Three([self.clone(), gamma.clone(), beta.clone()]),
+            Backward::LayerNorm { eps },
+        )
     }
 
     // ------------------------------------------------------------------
@@ -679,7 +688,7 @@ impl Var {
             .expect("attention: incompatible shapes");
         Var::op(
             out,
-            Parents::Many(vec![q.clone(), k.clone(), v.clone()]),
+            Parents::Three([q.clone(), k.clone(), v.clone()]),
             Backward::Attention { scale, causal, mask: drop_mask },
         )
     }
@@ -1041,6 +1050,33 @@ mod tests {
             assert_bits_eq(&grad_of(&qf), &grad_of(&qc), &format!("dq {what}"));
             assert_bits_eq(&grad_of(&kf), &grad_of(&kc), &format!("dk {what}"));
             assert_bits_eq(&grad_of(&vf), &grad_of(&vc), &format!("dv {what}"));
+        }
+    }
+
+    #[test]
+    fn layer_norm_node_matches_composed_graph_bitwise() {
+        let mut rng = Prng::new(47);
+        for shape in [&[4, 9][..], &[2, 3, 1], &[5], &[2, 5, 8]] {
+            let d = *shape.last().unwrap();
+            let (x0, g0, b0) = (rng.randn(shape).scale(3.0), rng.randn(&[d]), rng.randn(&[d]));
+            let dy = rng.randn(shape);
+            let run = |fused: bool| {
+                let (x, gamma, beta) =
+                    (Var::parameter(x0.clone()), Var::parameter(g0.clone()), Var::parameter(b0.clone()));
+                let y = if fused {
+                    x.layer_norm(&gamma, &beta, 1e-5)
+                } else {
+                    let last = shape.len() - 1;
+                    let centered = x.sub(&x.mean_axis(last, true));
+                    let std = centered.mul(&centered).mean_axis(last, true).add_scalar(1e-5).sqrt();
+                    centered.div(&std).mul(&gamma).add(&beta)
+                };
+                y.backward_with(dy.clone());
+                [y.to_array(), grad_of(&x), grad_of(&gamma), grad_of(&beta)]
+            };
+            for (name, (f, c)) in ["value", "dx", "dgamma", "dbeta"].iter().zip(run(true).iter().zip(&run(false))) {
+                assert_bits_eq(f, c, &format!("{name} {shape:?}"));
+            }
         }
     }
 
