@@ -92,7 +92,7 @@ echo "== training-bits digest: checkpoint bytes match the committed value =="
 # every run passes them. This pins the bytes themselves. Re-record
 # CKPT_CKSUM only in a change that alters training bits on purpose, and say
 # so in that change's CHANGES.md line.
-CKPT_CKSUM="2423305012 20580"
+CKPT_CKSUM="2352549846 20580"
 ckpt_cksum=$(cksum < "$probe_dir/ckpt_t1.bin")
 echo "TIMEDRL_THREADS=1 pretrain_checkpoint cksum: $ckpt_cksum (committed $CKPT_CKSUM)"
 if [ "$ckpt_cksum" != "$CKPT_CKSUM" ]; then

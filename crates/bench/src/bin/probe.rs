@@ -24,8 +24,8 @@
 
 use std::path::Path;
 use std::process::{Child, Command, ExitCode};
-use std::time::Instant;
 use testkit::alloc::count_allocations;
+use testkit::bench::paired;
 use testkit::pool;
 use timedrl::shard::{run_shard_worker_with, ShardTrainPlan};
 use timedrl::trainer::pretrain;
@@ -235,10 +235,15 @@ fn step_alloc(args: &[&str]) -> Outcome {
 // `matmul_t → scale → mask → softmax → matmul` graph at pool thread counts
 // 1 and 4, causal and bidirectional, on shapes that reach both the packed
 // and the reference microkernel; and at T=256 the kernel must beat the
-// materialized `[B·H, T, T]` path by MIN_SPEEDUP in median wall time.
+// materialized `[B·H, T, T]` path by MIN_SPEEDUP: the median ratio of
+// ATTN_PAIRS paired timings (`testkit::bench::paired`), so both paths of a
+// pair run in the same phase of the host's speed.
 // ---------------------------------------------------------------------------
 
 const MIN_SPEEDUP: f64 = 1.5;
+
+/// Fused/materialized pairs timed for the speed check.
+const ATTN_PAIRS: usize = 21;
 
 /// Parity shapes `(B·H, T, Dh)`: a packed-kernel shape, an odd
 /// non-multiple-of-tile shape, and a degenerate tiny one.
@@ -302,20 +307,6 @@ fn check_attn_parity(threads: usize) -> Outcome {
     })
 }
 
-/// Median wall time of `f` over `iters` runs (after one warm-up).
-fn median_time(iters: usize, mut f: impl FnMut()) -> f64 {
-    f();
-    let mut samples: Vec<f64> = (0..iters)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    samples[samples.len() / 2]
-}
-
 fn attn(args: &[&str]) -> Outcome {
     let [] = args else { return Err(Failure::Usage) };
     for threads in [1usize, 4] {
@@ -330,14 +321,19 @@ fn attn(args: &[&str]) -> Outcome {
     let k = rng.randn(&[bh, t, dh]);
     let v = rng.randn(&[bh, t, dh]);
     let scale = 1.0 / (dh as f32).sqrt();
-    let fused_s = median_time(15, || {
-        attention_fused(&q, &k, &v, scale, true, None).expect("fused");
-    });
-    let naive_s = median_time(15, || {
-        attention_reference(&q, &k, &v, scale, true, None).expect("naive");
-    });
-    let speedup = naive_s / fused_s;
-    println!("fused_t256_s={fused_s:.6} naive_t256_s={naive_s:.6} speedup={speedup:.2}");
+    let report = paired(
+        ATTN_PAIRS,
+        || drop(attention_fused(&q, &k, &v, scale, true, None).expect("fused")),
+        || drop(attention_reference(&q, &k, &v, scale, true, None).expect("naive")),
+    );
+    let speedup = report.median;
+    println!(
+        "speedup={speedup:.2} iqr={:.2} (q1={:.2} q3={:.2}, {} pairs)",
+        report.iqr(),
+        report.q1,
+        report.q3,
+        report.pairs
+    );
     if speedup < MIN_SPEEDUP {
         return Err(fail(format!(
             "fused attention is only {speedup:.2}x the materialized path (budget {MIN_SPEEDUP}x)"

@@ -12,6 +12,7 @@
 //! row walker instead of raveling coordinates per element.
 
 use crate::bufpool::Buffer;
+use crate::math;
 use crate::error::{Result, TensorError};
 use crate::shape::{
     broadcast_shape, broadcast_strides, broadcastable_to, check_axis, numel, ravel,
@@ -471,14 +472,14 @@ impl NdArray {
         self.map(|v| -v)
     }
 
-    /// Elementwise exponential.
+    /// Elementwise exponential ([`math::exp`]).
     pub fn exp(&self) -> Self {
-        self.map(f32::exp)
+        self.map(math::exp)
     }
 
-    /// Elementwise natural log.
+    /// Elementwise natural log ([`math::ln`]).
     pub fn ln(&self) -> Self {
-        self.map(f32::ln)
+        self.map(math::ln)
     }
 
     /// Elementwise square root.
@@ -777,7 +778,7 @@ impl NdArray {
         self.rowwise_lastdim(|row, out| {
             let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
             for (o, &v) in out.iter_mut().zip(row.iter()) {
-                *o = (v - m).exp();
+                *o = math::exp(v - m);
             }
             let s: f32 = out.iter().sum();
             for o in out.iter_mut() {
@@ -790,7 +791,7 @@ impl NdArray {
     pub fn log_softmax_lastdim(&self) -> Self {
         self.rowwise_lastdim(|row, out| {
             let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let lse = m + row.iter().map(|&v| (v - m).exp()).sum::<f32>().ln();
+            let lse = m + math::ln(row.iter().map(|&v| math::exp(v - m)).sum::<f32>());
             for (o, &v) in out.iter_mut().zip(row.iter()) {
                 *o = v - lse;
             }

@@ -60,6 +60,7 @@
 use crate::array::NdArray;
 use crate::bufpool::Buffer;
 use crate::error::{Result, TensorError};
+use crate::math::{self, EXP_UNDERFLOW};
 use crate::matmul::{
     matmul_nt_rows_reference, matmul_rows_packed, matmul_rows_reference, pack_b_panels,
     pack_bt_panels, panel_count, use_packed, MATMUL_GRAIN, MR, NR,
@@ -70,10 +71,6 @@ use testkit::pool;
 /// scores above the diagonal exactly as the composed graph's materialized
 /// mask ([`attention_reference`]) adds it.
 const MASK_NEG: f32 = -1e9;
-
-/// Below this, `f32::exp` returns +0.0: e^-120 ≈ 7.7e-53 is far under half
-/// the smallest subnormal (≈ 7.0e-46), so it rounds to zero.
-const EXP_UNDERFLOW: f32 = -120.0;
 
 /// Validates that `q`, `k`, `v` are rank-3 `[bh, t, dh]` with identical
 /// shapes and returns `(bh, t, dh)`.
@@ -136,14 +133,14 @@ fn finish_rows_exact(
         let tail_underflows = tail.iter().all(|&x| x - m < EXP_UNDERFLOW);
         let m = if tail_underflows { m } else { tail.iter().copied().fold(m, f32::max) };
         for x in head.iter_mut() {
-            *x = (*x - m).exp();
+            *x = math::exp(*x - m);
         }
         let s: f32 = if tail_underflows {
             tail.fill(0.0);
             head.iter().sum()
         } else {
             for x in tail.iter_mut() {
-                *x = (*x - m).exp();
+                *x = math::exp(*x - m);
             }
             row.iter().sum()
         };

@@ -40,6 +40,7 @@
 //! `dγ`/`dβ` sums cross rows, so they always run serially in row order.
 
 use crate::array::{NdArray, ELEMWISE_GRAIN, ROWWISE_GRAIN};
+use crate::math;
 use testkit::pool;
 
 #[cfg(doc)]
@@ -53,7 +54,7 @@ const GELU_A: f32 = 0.044_715;
 /// The saved GELU factor `tanh(C·(v + A·v³))`.
 #[inline]
 fn gelu_t(v: f32) -> f32 {
-    (GELU_C * (v + GELU_A * v * v * v)).tanh()
+    math::tanh(GELU_C * (v + GELU_A * v * v * v))
 }
 
 /// `dGELU/dv` at `v`, given the saved factor `t`.

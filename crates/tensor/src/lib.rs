@@ -31,6 +31,7 @@ mod error;
 mod fused;
 pub mod gradcheck;
 mod init;
+pub mod math;
 mod matmul;
 pub mod serialize;
 pub mod shape;

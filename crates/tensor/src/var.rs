@@ -23,6 +23,7 @@ use crate::array::NdArray;
 use crate::attention::{attention_fused, attention_fused_backward};
 use crate::error::Result;
 use crate::init::Prng;
+use crate::math;
 use crate::matmul::{matmul, matmul_nt, matmul_tn, matmul_tn_fold};
 use crate::shape::Dims;
 
@@ -599,14 +600,14 @@ impl Var {
 
     /// Logistic sigmoid.
     pub fn sigmoid(&self) -> Var {
-        let out = self.value().map(|v| 1.0 / (1.0 + (-v).exp()));
+        let out = self.value().map(|v| 1.0 / (1.0 + math::exp(-v)));
         let s = out.clone();
         Var::op(out, Parents::one(self.clone()), Backward::Sigmoid { s })
     }
 
-    /// Hyperbolic tangent.
+    /// Hyperbolic tangent ([`math::tanh`]).
     pub fn tanh_act(&self) -> Var {
-        let out = self.value().map(f32::tanh);
+        let out = self.value().map(math::tanh);
         let t = out.clone();
         Var::op(out, Parents::one(self.clone()), Backward::Tanh { t })
     }

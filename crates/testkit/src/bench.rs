@@ -169,6 +169,64 @@ impl Group<'_> {
     pub fn finish(self) {}
 }
 
+/// The outcome of a [`paired`] timing: quantiles of the per-pair ratios
+/// `time(b) / time(a)`, so above 1 means `a` is faster.
+#[derive(Debug, Clone, Copy)]
+pub struct PairedReport {
+    /// Median per-pair ratio.
+    pub median: f64,
+    /// First quartile of the ratios.
+    pub q1: f64,
+    /// Third quartile of the ratios.
+    pub q3: f64,
+    /// Number of pairs timed.
+    pub pairs: usize,
+}
+
+impl PairedReport {
+    /// Interquartile range of the ratios.
+    pub fn iqr(&self) -> f64 {
+        self.q3 - self.q1
+    }
+}
+
+/// Times `a` against `b` in `pairs` alternating rounds, after one warm-up
+/// call of each, and reports the per-pair ratios `time(b) / time(a)`.
+///
+/// Timing two functions in two separate blocks lets a change in the host's
+/// speed between the blocks (another tenant, a frequency step) pass for a
+/// difference between the functions. A pair runs both back to back, so
+/// both see the same phase, and the order alternates from pair to pair so
+/// neither side always runs on the other's warm caches.
+///
+/// # Panics
+/// Panics if `pairs` is 0.
+pub fn paired(pairs: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> PairedReport {
+    assert!(pairs > 0, "paired: need at least one pair");
+    let time = |f: &mut dyn FnMut()| {
+        let start = Instant::now();
+        f();
+        start.elapsed().as_secs_f64()
+    };
+    time(&mut a);
+    time(&mut b);
+    let mut ratios: Vec<f64> = (0..pairs)
+        .map(|i| {
+            let (ta, tb) = if i % 2 == 0 {
+                let ta = time(&mut a);
+                (ta, time(&mut b))
+            } else {
+                let tb = time(&mut b);
+                (time(&mut a), tb)
+            };
+            tb / ta.max(f64::MIN_POSITIVE)
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let at = |q: usize| ratios[(ratios.len() - 1) * q / 4];
+    PairedReport { median: at(2), q1: at(1), q3: at(3), pairs }
+}
+
 /// Formats seconds human-readably (ns/µs/ms/s).
 pub fn fmt_duration(seconds: f64) -> String {
     if seconds < 1e-6 {
@@ -209,6 +267,21 @@ mod tests {
         assert!(report.p95 <= report.max);
         assert!(report.min > 0.0);
         assert_eq!(report.samples, 5);
+    }
+
+    #[test]
+    fn paired_ratio_sees_which_side_is_slower() {
+        let spin = |n: u64| {
+            let mut acc = 0u64;
+            for i in 0..n {
+                acc = black_box(acc.wrapping_mul(31).wrapping_add(i));
+            }
+            acc
+        };
+        let report = paired(9, || drop(spin(20_000)), || drop(spin(200_000)));
+        assert_eq!(report.pairs, 9);
+        assert!(report.q1 <= report.median && report.median <= report.q3);
+        assert!(report.median > 2.0, "10x the work should time slower: {report:?}");
     }
 
     #[test]

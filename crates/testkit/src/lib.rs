@@ -40,7 +40,7 @@ pub mod pool;
 pub mod prop;
 pub mod rng;
 
-pub use bench::{Bench, BenchConfig};
+pub use bench::{paired, Bench, BenchConfig, PairedReport};
 pub use crc32::{crc32, Crc32};
 pub use json::{Json, ToJson};
 pub use rng::{SplitMix64, TestRng};
