@@ -42,13 +42,15 @@ const LOG2_E: f32 = 1.442_695;
 const LN2_HI: f32 = 0.693_359_375;
 const LN2_LO: f32 = -2.121_944_4e-4;
 /// Adding and subtracting `1.5·2²³` rounds an f32 of magnitude below 2²²
-/// to the nearest integer (ties to even).
+/// to the nearest integer (ties to even). In between, the sum's bits are
+/// this constant's bits plus that integer, so the integer needs no
+/// float-to-int conversion (whose saturating form does not vectorize).
 const ROUND_SHIFT: f32 = 12_582_912.0;
 
 /// `2^k` for `−126 ≤ k ≤ 127`, built from its bits.
 #[inline(always)]
 fn pow2(k: i32) -> f32 {
-    f32::from_bits(((k + 127) as u32) << 23)
+    f32::from_bits((k.wrapping_add(127) as u32) << 23)
 }
 
 /// `e^x`.
@@ -63,7 +65,8 @@ pub fn exp(x: f32) -> f32 {
         x
     };
     // x = k·ln2 + r with |r| ≤ ln2/2.
-    let k = (xc * LOG2_E + ROUND_SHIFT) - ROUND_SHIFT;
+    let shifted = xc * LOG2_E + ROUND_SHIFT;
+    let k = shifted - ROUND_SHIFT;
     let r = (xc - k * LN2_HI) - k * LN2_LO;
     let p = ((((1.987_569_1e-4 * r + 1.398_199_9e-3) * r + 8.333_452e-3) * r + 4.166_579_6e-2) * r
         + 1.666_666_5e-1)
@@ -72,7 +75,8 @@ pub fn exp(x: f32) -> f32 {
     let er = p * (r * r) + r + 1.0;
     // Scale by 2^k in two exact-range steps, so a subnormal result is
     // rounded once and k = 128 still reaches the top of the range.
-    let k = k as i32;
+    // For a NaN input `k` is arbitrary, and so is the scale; `er` is NaN.
+    let k = (shifted.to_bits() as i32).wrapping_sub(ROUND_SHIFT.to_bits() as i32);
     let k1 = k >> 1;
     let y = er * pow2(k1) * pow2(k - k1);
     if x > EXP_MAX {
