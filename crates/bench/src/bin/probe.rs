@@ -373,21 +373,24 @@ fn composed_layer_norm(x: &Var, gamma: &Var, beta: &Var, eps: f32) -> Var {
     centered.div(&std).mul(gamma).add(beta)
 }
 
+/// `sqrt(2/pi)`, the GELU tanh-approximation scale.
+const GELU_C: f32 = 0.797_884_6;
+/// The GELU tanh-approximation cubic coefficient.
+const GELU_A: f32 = 0.044_715;
+
 /// The composed tanh-GELU chain `0.5·v·(1 + tanh(C·(v + A·v·v·v)))`,
 /// returning the value and its `tanh` node.
 fn composed_gelu(x: &Var) -> (Var, Var) {
-    const C: f32 = 0.797_884_6;
-    const A: f32 = 0.044_715;
-    let t = x.scale(A).mul(x).mul(x).add(x).scale(C).tanh_act();
+    let t = x.scale(GELU_A).mul(x).mul(x).add(x).scale(GELU_C).tanh_act();
     (x.scale(0.5).mul(&t.add_scalar(1.0)), t)
 }
 
 /// The seed GELU node's backward: `g · GELU'(v)` from the saved `t`.
 fn gelu_grad_oracle(x: &NdArray, t: &NdArray, g: &NdArray) -> NdArray {
-    const C: f32 = 0.797_884_6;
-    const A: f32 = 0.044_715;
     let slope = x
-        .zip_map(t, |v, t| 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * C * (1.0 + 3.0 * A * v * v))
+        .zip_map(t, |v, t| {
+            0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * GELU_C * (1.0 + 3.0 * GELU_A * v * v)
+        })
         .expect("same shape");
     g.mul(&slope)
 }
