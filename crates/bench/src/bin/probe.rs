@@ -184,32 +184,13 @@ const ALLOC_BUDGET: u64 = 316;
 /// chunks.
 const FAN_OUT_GRAIN: usize = 256;
 
-/// Most warm-up steps the fanned-out measurement may take to reach the
-/// serial step's count.
-const MAX_FAN_OUT_WARMUP: usize = 16;
-
 fn step_alloc(args: &[&str]) -> Outcome {
     let [] = args else { return Err(Failure::Usage) };
     // Two warm-up steps fill the pool buckets; average over several
     // measured steps so a one-off bucket growth doesn't dominate.
-    let serial = pool::with_threads(1, || StepHarness::new().allocations_per_step(2, 8));
-    // A new pool worker fills its own buckets the first time it runs a
-    // chunk of each kernel, and on a busy host it may sit out the first
-    // steps' regions. So the fanned-out harness warms until one step
-    // allocates no more than the serial step (at most MAX_FAN_OUT_WARMUP
-    // steps), then measures. Workers that lost their pools between calls
-    // would never get there, and the measured steps would show it.
-    let fanned = pool::with_threads(2, || {
-        pool::with_grain(FAN_OUT_GRAIN, || {
-            let mut harness = StepHarness::new();
-            for _ in 0..MAX_FAN_OUT_WARMUP {
-                if count_allocations(|| harness.step()).1 <= serial {
-                    break;
-                }
-            }
-            harness.allocations_per_step(1, 8)
-        })
-    });
+    let measure = || StepHarness::new().allocations_per_step(2, 8);
+    let serial = pool::with_threads(1, measure);
+    let fanned = pool::with_threads(2, || pool::with_grain(FAN_OUT_GRAIN, measure));
     println!(
         "allocs_per_step={serial} allocs_per_step_2threads={fanned} budget={ALLOC_BUDGET} \
          seed_baseline=8944"
@@ -354,8 +335,10 @@ fn attn(args: &[&str]) -> Outcome {
 // TIMEDRL_THREADS allows.
 // ---------------------------------------------------------------------------
 
-/// LayerNorm parity shapes: rank 1, width 1, odd widths, Fig. 4 `[B, S, D]`.
-const LN_SHAPES: [&[usize]; 7] = [&[6], &[7, 1], &[2, 3, 1], &[5, 13], &[3, 4, 7], &[1, 9], &[32, 33, 32]];
+/// LayerNorm parity shapes: rank 1, width 1, odd and even widths, Fig. 4
+/// `[B, S, D]`.
+const LN_SHAPES: [&[usize]; 9] =
+    [&[6], &[7, 1], &[2, 3, 1], &[5, 13], &[3, 4, 7], &[1, 9], &[4, 9], &[2, 5, 8], &[32, 33, 32]];
 
 /// GELU parity shapes, ending with the Fig. 4 feed-forward width.
 const GELU_SHAPES: [&[usize]; 4] = [&[1], &[5, 13], &[3, 4, 7], &[32, 33, 64]];

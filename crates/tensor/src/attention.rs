@@ -97,12 +97,16 @@ fn validate_mask(mask: Option<&NdArray>, bh: usize, t: usize) -> Result<()> {
     Ok(())
 }
 
-/// Finishes a strip of raw score rows in place, in the composed path's
-/// exact per-element order: `* scale`, `+ mask` (causal only — the
-/// non-causal composed graph has no add node, and adding `0.0` would turn
-/// `-0.0` into `+0.0`), the seed softmax row schedule, then the optional
-/// dropout-mask multiply. `row0` is the entry-local index of the first row;
-/// `drop` is the entry's `[t, t]` mask slice.
+/// Finishes a strip of at most [`MR`] raw score rows in place, in the
+/// composed path's exact per-element order: `* scale`, `+ mask` (causal
+/// only — the non-causal composed graph has no add node, and adding `0.0`
+/// would turn `-0.0` into `+0.0`), the seed softmax row schedule, then the
+/// optional dropout-mask multiply. `row0` is the entry-local index of the
+/// first row; `drop` is the entry's `[t, t]` mask slice.
+///
+/// Runs the widest instantiation the host supports. Every step is a plain
+/// IEEE op per element, or a per-row chain kept in order, and rustc never
+/// contracts a `mul` and an `add` into an FMA, so both give the same bits.
 fn finish_rows_exact(
     strip: &mut [f32],
     t: usize,
@@ -111,6 +115,44 @@ fn finish_rows_exact(
     causal: bool,
     drop: Option<&[f32]>,
 ) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: gated on runtime AVX2 detection; the fn is a safe Rust
+        // body that only needs the feature to be legal to execute.
+        unsafe {
+            return finish_rows_avx2(strip, t, row0, scale, causal, drop);
+        }
+    }
+    finish_rows(strip, t, row0, scale, causal, drop);
+}
+
+/// [`finish_rows`] compiled with 256-bit vectors enabled.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn finish_rows_avx2(
+    strip: &mut [f32],
+    t: usize,
+    row0: usize,
+    scale: f32,
+    causal: bool,
+    drop: Option<&[f32]>,
+) {
+    finish_rows(strip, t, row0, scale, causal, drop);
+}
+
+/// The body of [`finish_rows_exact`].
+#[inline(always)]
+fn finish_rows(
+    strip: &mut [f32],
+    t: usize,
+    row0: usize,
+    scale: f32,
+    causal: bool,
+    drop: Option<&[f32]>,
+) {
+    debug_assert!(strip.len() <= MR * t);
+    // How many leading elements of each row enter its softmax sum.
+    let mut lens = [t; MR];
     for (r, row) in strip.chunks_mut(t).enumerate() {
         let i = row0 + r;
         for x in row.iter_mut() {
@@ -129,30 +171,82 @@ fn finish_rows_exact(
         // and adding +0.0 leaves the head's sum unchanged (it holds
         // `exp(m - m) = 1`, or NaN when `m` is infinite).
         let (head, tail) = row.split_at_mut(if causal { (i + 1).min(t) } else { t });
-        let m = head.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let tail_underflows = tail.iter().all(|&x| x - m < EXP_UNDERFLOW);
-        let m = if tail_underflows { m } else { tail.iter().copied().fold(m, f32::max) };
+        let m = max_lanes(head, f32::NEG_INFINITY);
+        let tail_underflows = tail.iter().fold(true, |ok, &x| ok & (x - m < EXP_UNDERFLOW));
+        let m = if tail_underflows { m } else { max_lanes(tail, m) };
         for x in head.iter_mut() {
             *x = math::exp(*x - m);
         }
-        let s: f32 = if tail_underflows {
+        if tail_underflows {
             tail.fill(0.0);
-            head.iter().sum()
+            lens[r] = head.len();
         } else {
             for x in tail.iter_mut() {
                 *x = math::exp(*x - m);
             }
-            row.iter().sum()
-        };
+        }
+    }
+    let sums = row_sums(strip, t, &lens);
+    for (r, row) in strip.chunks_mut(t).enumerate() {
+        let s = sums[r];
         for x in row.iter_mut() {
             *x /= s;
         }
         if let Some(dm) = drop {
+            let i = row0 + r;
             for (x, &mv) in row.iter_mut().zip(&dm[i * t..(i + 1) * t]) {
                 *x = *x * mv;
             }
         }
     }
+}
+
+/// `xs.iter().fold(init, f32::max)` for a non-NaN `init`, folded in eight
+/// lanes so that it vectorizes. NaN elements are skipped (`x > a` is
+/// false), as `f32::max` skips them, and a maximum does not depend on the
+/// fold order — except for the sign of a zero maximum, which no caller can
+/// see: `x - (±0.0)` is `x` for every nonzero `x`, and `exp` of either zero
+/// is exactly 1.
+#[inline(always)]
+fn max_lanes(xs: &[f32], init: f32) -> f32 {
+    const LANES: usize = 8;
+    let mut acc = [init; LANES];
+    let mut blocks = xs.chunks_exact(LANES);
+    for block in &mut blocks {
+        for (a, &x) in acc.iter_mut().zip(block) {
+            *a = if x > *a { x } else { *a };
+        }
+    }
+    acc.iter().chain(blocks.remainder()).fold(init, |m, &x| if x > m { x } else { m })
+}
+
+/// Each strip row's left-to-right sum of its first `lens[r]` elements,
+/// from `0.0`. A sum is one serial chain of adds; a full strip runs its
+/// [`MR`] chains side by side so their latencies overlap, each row's adds
+/// still in ascending order, so every sum keeps its bits.
+#[inline(always)]
+fn row_sums(strip: &[f32], t: usize, lens: &[usize; MR]) -> [f32; MR] {
+    const _: () = assert!(MR == 4, "row_sums interleaves four rows");
+    let mut sums = [0.0f32; MR];
+    let mut done = 0;
+    if strip.len() == 4 * t {
+        let (a, rest) = strip.split_at(t);
+        let (b, rest) = rest.split_at(t);
+        let (c, d) = rest.split_at(t);
+        done = lens.iter().copied().min().unwrap_or(0);
+        for (((&a, &b), &c), &d) in a[..done].iter().zip(&b[..done]).zip(&c[..done]).zip(&d[..done]) {
+            sums[0] += a;
+            sums[1] += b;
+            sums[2] += c;
+            sums[3] += d;
+        }
+    }
+    for ((s, row), &len) in sums.iter_mut().zip(strip.chunks_exact(t)).zip(lens) {
+        for &x in &row[done..len] {
+            *s += x;
+        }
+    }
+    sums
 }
 
 /// Shared forward geometry: packed-path dispatch flags and per-entry panel
@@ -570,6 +664,49 @@ mod tests {
             let (dq, dk, dv) = attention_fused_backward(&q, &k, &v, &g, scale, true, None).unwrap();
             for (got, want, what) in [(&dq, &wq, "dq"), (&dk, &wk, "dk"), (&dv, &wv, "dv")] {
                 same(got, want, &format!("{what} {value}"));
+            }
+        }
+    }
+
+    /// Finishing a strip keeps `softmax_lastdim`'s bits although its maxima
+    /// fold in lanes and its sums run interleaved: rows whose maximum is a
+    /// zero of either sign, NaN and infinite scores, strips of 1 to `MR`
+    /// rows, and causal strips whose rows sum heads of different lengths.
+    #[test]
+    fn finished_rows_match_softmax_lastdim_bitwise() {
+        let t = 19;
+        let mut rng = Prng::new(29);
+        for rows in 1..=MR {
+            for case in 0..6 {
+                let mut scores = rng.randn(&[rows, t]);
+                for (f, x) in scores.data_mut().iter_mut().enumerate() {
+                    *x = match case {
+                        1 if f % 5 == 0 => -0.0,
+                        1 if f % 5 == 2 => 0.0,
+                        1 => -x.abs(),
+                        2 => if f % 2 == 0 { 0.0 } else { -0.0 },
+                        3 if f % 7 == 3 => f32::NAN,
+                        4 if f % 11 == 4 => f32::INFINITY,
+                        5 => f32::NEG_INFINITY,
+                        _ => *x,
+                    };
+                }
+                for (causal, row0) in [(false, 0), (true, 7)] {
+                    let masked = NdArray::from_fn(&[rows, t], |f| {
+                        let (i, j) = (row0 + f / t, f % t);
+                        let x = scores.data()[f] * 0.5;
+                        if causal { x + if j > i { MASK_NEG } else { 0.0 } } else { x }
+                    });
+                    let want = masked.softmax_lastdim();
+                    let mut got = scores.data().to_vec();
+                    finish_rows_exact(&mut got, t, row0, 0.5, causal, None);
+                    for (f, (x, y)) in got.iter().zip(want.data()).enumerate() {
+                        assert!(
+                            x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+                            "rows={rows} case={case} causal={causal} element {f}: {x} vs {y}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -35,11 +35,14 @@
 //!
 //! # Parallelism
 //!
-//! Forward kernels fan out over whole rows (LayerNorm) or element chunks
-//! (GELU); no element's arithmetic depends on the chunking. The LayerNorm
-//! `dγ`/`dβ` sums cross rows, so they always run serially in row order.
+//! Kernels fan out over whole rows (LayerNorm) or element chunks (GELU);
+//! no element's arithmetic depends on the chunking. The LayerNorm backward
+//! computes each row's statistics once, in a row pass of its own, and the
+//! `dx` pass and the `dγ`/`dβ` pass both read them. The `dγ`/`dβ` sums
+//! cross rows, so that pass always runs serially in row order.
 
 use crate::array::{NdArray, ELEMWISE_GRAIN, ROWWISE_GRAIN};
+use crate::bufpool::Buffer;
 use crate::math;
 use testkit::pool;
 
@@ -140,33 +143,48 @@ fn layer_norm_rows(x: &[f32], gamma: &[f32], beta: &[f32], eps: f32, out: &mut [
     });
 }
 
-/// Adds one row's `g·n` and `g` into `dγ`/`dβ`.
-#[inline]
-fn accumulate_affine_grads(x: &[f32], g: &[f32], mean: f32, std: f32, dgamma: &mut [f32], dbeta: &mut [f32]) {
-    for (((dgm, dbt), &v), &gv) in dgamma.iter_mut().zip(dbeta.iter_mut()).zip(x).zip(g) {
-        *dgm += gv * ((v - mean) / std);
-        *dbt += gv;
+/// Each row's `(mean, std)` from [`block_stats`], stored as pairs: `stats`
+/// holds two values per row of `x`.
+fn layer_norm_row_stats(x: &[f32], d: usize, eps: f32, stats: &mut [f32]) {
+    let inv_d = 1.0 / d as f32;
+    for_row_blocks!(x.len() / d, |r0, R| {
+        let (mean, std) = block_stats::<R>(&x[r0 * d..(r0 + R) * d], d, inv_d, eps);
+        for (r, s) in stats[2 * r0..2 * (r0 + R)].chunks_exact_mut(2).enumerate() {
+            s.copy_from_slice(&[mean[r], std[r]]);
+        }
+    });
+}
+
+/// Adds every row's `g·n` and `g` into `dγ`/`dβ`. These sums cross rows, so
+/// they run serially, in row order.
+fn layer_norm_affine_grads(x: &[f32], g: &[f32], stats: &[f32], dgamma: &mut [f32], dbeta: &mut [f32]) {
+    let d = dgamma.len();
+    for ((xr, gr), s) in x.chunks(d).zip(g.chunks(d)).zip(stats.chunks_exact(2)) {
+        for (((dgm, dbt), &v), &gv) in dgamma.iter_mut().zip(dbeta.iter_mut()).zip(xr).zip(gr) {
+            *dgm += gv * ((v - s[0]) / s[1]);
+            *dbt += gv;
+        }
     }
 }
 
 /// LayerNorm backward over whole rows: writes `dx` for the rows of `x`/`g`,
-/// and, given `affine`, adds their `dγ`/`dβ` terms in row order.
-/// `row_sum_start` begins the two sums over a row (module docs).
+/// given their [`layer_norm_row_stats`]. `row_sum_start` begins the two
+/// sums over a row (module docs).
 fn layer_norm_backward_rows(
     x: &[f32],
     g: &[f32],
     gamma: &[f32],
-    eps: f32,
+    stats: &[f32],
     row_sum_start: f32,
     dx: &mut [f32],
-    mut affine: Option<(&mut [f32], &mut [f32])>,
 ) {
     let d = gamma.len();
     let inv_d = 1.0 / d as f32;
     for_row_blocks!(x.len() / d, |r0, R| {
         let span = r0 * d..(r0 + R) * d;
         let (xb, gb, db) = (&x[span.clone()], &g[span.clone()], &mut dx[span]);
-        let (mean, std) = block_stats::<R>(xb, d, inv_d, eps);
+        let mean: [f32; R] = std::array::from_fn(|r| stats[2 * (r0 + r)]);
+        let std: [f32; R] = std::array::from_fn(|r| stats[2 * (r0 + r) + 1]);
         // d std = Σ dn·(−c / std²), dn = g·γ: the terms go through `dx`
         // first, so the divides vectorize and only the sums stay serial.
         for (r, ((xr, gr), dr)) in xb.chunks(d).zip(gb.chunks(d)).zip(db.chunks_mut(d)).enumerate() {
@@ -191,11 +209,6 @@ fn layer_norm_backward_rows(
             let dm = dmean[r] * inv_d;
             for o in dr.iter_mut() {
                 *o += dm;
-            }
-        }
-        if let Some((dgamma, dbeta)) = affine.as_mut() {
-            for (r, (xr, gr)) in xb.chunks(d).zip(gb.chunks(d)).enumerate() {
-                accumulate_affine_grads(xr, gr, mean[r], std[r], dgamma, dbeta);
             }
         }
     });
@@ -231,8 +244,8 @@ impl NdArray {
     }
 
     /// The LayerNorm backward: `(dx, dgamma, dbeta)` for output gradient
-    /// `g`, recomputing each row's statistics from `self` (the forward
-    /// input). Bit-identical to the composed chain's backward.
+    /// `g`, recomputing the row statistics from `self` (the forward input).
+    /// Bit-identical to the composed chain's backward.
     pub(crate) fn layer_norm_backward(&self, gamma: &NdArray, g: &NdArray, eps: f32) -> (NdArray, NdArray, NdArray) {
         let dim = *self.shape().last().expect("rank >= 1");
         let n = self.numel();
@@ -248,23 +261,18 @@ impl NdArray {
         let row_sum_start = if dim == 1 { -0.0 } else { 0.0 };
         let (xs, gs, gm) = (self.data(), g.data(), gamma.data());
         let rows_per = rows_per_chunk(n, dim);
-        if rows_per * dim >= n {
-            // Serial: one pass writes dx and accumulates dγ/dβ.
-            let affine = Some((dgamma.data_mut(), dbeta.data_mut()));
-            layer_norm_backward_rows(xs, gs, gm, eps, row_sum_start, dx.data_mut(), affine);
-        } else {
-            pool::for_each_chunk(dx.data_mut(), rows_per * dim, |offset, chunk| {
-                let span = offset..offset + chunk.len();
-                layer_norm_backward_rows(&xs[span.clone()], &gs[span], gm, eps, row_sum_start, chunk, None);
-            });
-            // dγ/dβ sum across rows: serial, in row order.
-            let inv_d = 1.0 / dim as f32;
-            let (dgm, dbt) = (dgamma.data_mut(), dbeta.data_mut());
-            for (xr, gr) in xs.chunks(dim).zip(gs.chunks(dim)) {
-                let (mean, std) = block_stats::<1>(xr, dim, inv_d, eps);
-                accumulate_affine_grads(xr, gr, mean[0], std[0], dgm, dbt);
-            }
-        }
+        let mut stats = Buffer::zeroed(2 * (n / dim));
+        pool::for_each_chunk(&mut stats, 2 * rows_per, |offset, chunk| {
+            let rows = offset / 2 * dim..(offset + chunk.len()) / 2 * dim;
+            layer_norm_row_stats(&xs[rows], dim, eps, chunk);
+        });
+        let stats = &stats[..];
+        pool::for_each_chunk(dx.data_mut(), rows_per * dim, |offset, chunk| {
+            let span = offset..offset + chunk.len();
+            let row_stats = &stats[2 * span.start / dim..2 * span.end / dim];
+            layer_norm_backward_rows(&xs[span.clone()], &gs[span], gm, row_stats, row_sum_start, chunk);
+        });
+        layer_norm_affine_grads(xs, gs, stats, dgamma.data_mut(), dbeta.data_mut());
         (dx, dgamma, dbeta)
     }
 
@@ -275,32 +283,24 @@ impl NdArray {
     }
 
     /// GELU forward for the tape: `(value, t)` with the saved factor
-    /// `t = tanh(C·(v + A·v³))`, in one pass when serial.
+    /// `t = tanh(C·(v + A·v³))`. Two outputs cannot share one chunked
+    /// pass, so `t` is computed first and the value reads it back.
     pub(crate) fn gelu_with_tanh(&self) -> (NdArray, NdArray) {
         let n = self.numel();
         let (mut out, mut t) = (NdArray::zeros(self.shape()), NdArray::zeros(self.shape()));
+        let chunk = if pool::should_parallelize(n, ELEMWISE_GRAIN) { pool::grain(ELEMWISE_GRAIN) } else { n.max(1) };
         let src = self.data();
-        if pool::should_parallelize(n, ELEMWISE_GRAIN) {
-            // Two outputs cannot share one chunked pass: `t` fans out
-            // first, then the value reads it back.
-            let chunk = pool::grain(ELEMWISE_GRAIN);
-            pool::for_each_chunk(t.data_mut(), chunk, |offset, c| {
-                for (o, &v) in c.iter_mut().zip(&src[offset..]) {
-                    *o = gelu_t(v);
-                }
-            });
-            let ts = t.data();
-            pool::for_each_chunk(out.data_mut(), chunk, |offset, c| {
-                for ((o, &v), &tv) in c.iter_mut().zip(&src[offset..]).zip(&ts[offset..]) {
-                    *o = 0.5 * v * (1.0 + tv);
-                }
-            });
-        } else {
-            for ((o, tv), &v) in out.data_mut().iter_mut().zip(t.data_mut()).zip(src) {
-                *tv = gelu_t(v);
-                *o = 0.5 * v * (1.0 + *tv);
+        pool::for_each_chunk(t.data_mut(), chunk, |offset, c| {
+            for (o, &v) in c.iter_mut().zip(&src[offset..]) {
+                *o = gelu_t(v);
             }
-        }
+        });
+        let ts = t.data();
+        pool::for_each_chunk(out.data_mut(), chunk, |offset, c| {
+            for ((o, &v), &tv) in c.iter_mut().zip(&src[offset..]).zip(&ts[offset..]) {
+                *o = 0.5 * v * (1.0 + tv);
+            }
+        });
         (out, t)
     }
 
